@@ -1,7 +1,9 @@
 """Softmax classifier with cross-entropy training and class re-weighting.
 
 Training is plain gradient descent (full batch by default, optional seeded
-mini-batches).  Predicted scores can be re-weighted by per-class positive
+mini-batches).  ``class_probs`` and ``xent_rows`` work on stacked (B, d_in)
+rows; ``softmax_forward`` and ``xent_loss_grad`` are their validated
+single-sample case.  Predicted scores can be re-weighted by per-class positive
 factors before the argmax; the default weight vector used by the experiment
 configs reflects square-root class frequencies of an emotion corpus.
 """
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, EmptyDataset
-from .numeric import check_mat, check_vec, softmax
+from .numeric import check_finite, check_mat, check_vec, softmax
 from .rng import Rng
 
 # square-root sample-count weights for the 7 emotion classes
@@ -46,20 +48,46 @@ class ClassWeights:
 
 @dataclass
 class ClassScores:
-    probs: np.ndarray  # (C,), nonnegative, sums to 1
+    probs: np.ndarray  # (C,) or (B, C); nonnegative rows that sum to 1
 
     def __post_init__(self):
-        self.probs = check_vec(self.probs, "class scores")
-        if np.any(self.probs < 0.0) or abs(float(np.sum(self.probs)) - 1.0) > 1e-9:
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim not in (1, 2) or probs.size < 1:
+            raise DimMismatch(f"class scores must be (C,) or (B, C), got shape {probs.shape}")
+        self.probs = check_finite(probs, "class scores")
+        if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
             raise ValueError("class scores must be a probability vector")
 
 
-def softmax_forward(x: np.ndarray, params: SoftmaxParams) -> ClassScores:
+def class_probs(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Softmax class probabilities for input rows x (B, d_in): (B, C)."""
+    return softmax(x @ weight.T + bias)
+
+
+def xent_rows(x: np.ndarray, labels: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """Summed cross-entropy over rows and its hand-derived gradients.
+
+    Returns (loss sum, d_weight, d_bias, d_x): parameter gradients are summed
+    over the rows, d_x is per row; d_logits = probs - onehot(label).
+    """
+    d_logits = class_probs(x, weight, bias)
+    rows = np.arange(labels.shape[0])
+    loss = -float(np.log(np.maximum(d_logits[rows, labels], 1e-300)).sum())
+    d_logits[rows, labels] -= 1.0
+    return loss, d_logits.T @ x, d_logits.sum(axis=0), d_logits @ weight
+
+
+def _check_input(x, params: SoftmaxParams) -> np.ndarray:
     x = check_vec(x, "classifier input")
     w = check_mat(params.weight, "classifier weight")
     if w.shape[1] != x.shape[0]:
         raise DimMismatch(f"input dim {x.shape[0]} != weight cols {w.shape[1]}")
-    return ClassScores(probs=softmax(w @ x + params.bias))
+    return x
+
+
+def softmax_forward(x: np.ndarray, params: SoftmaxParams) -> ClassScores:
+    x = _check_input(x, params)
+    return ClassScores(probs=class_probs(x[None], params.weight, params.bias)[0])
 
 
 def xent_loss_grad(x: np.ndarray, label: int, params: SoftmaxParams):
@@ -67,15 +95,12 @@ def xent_loss_grad(x: np.ndarray, label: int, params: SoftmaxParams):
 
     Returns (loss, d_weight, d_bias, d_x); d_logits = probs - onehot(label).
     """
-    scores = softmax_forward(x, params)
-    probs = scores.probs
-    loss = -float(np.log(max(probs[label], 1e-300)))
-    d_logits = probs.copy()
-    d_logits[label] -= 1.0
-    d_weight = np.outer(d_logits, x)
-    d_bias = d_logits
-    d_x = params.weight.T @ d_logits
-    return loss, d_weight, d_bias, d_x
+    x = _check_input(x, params)
+    if not 0 <= label < params.classes:
+        raise DimMismatch(f"label {label} outside 0..{params.classes - 1}")
+    loss, d_weight, d_bias, d_x = xent_rows(x[None], np.array([label]),
+                                            params.weight, params.bias)
+    return loss, d_weight, d_bias, d_x[0]
 
 
 def train(features, labels, params: SoftmaxParams, lr: float, epochs: int,
@@ -86,11 +111,16 @@ def train(features, labels, params: SoftmaxParams, lr: float, epochs: int,
     each epoch by the supplied rng (required then) for mini-batch steps.
     """
     xs = [check_vec(x, "feature") for x in features]
-    ys = list(labels)
+    ys = np.asarray(list(labels), dtype=np.int64)
     if len(xs) == 0:
         raise EmptyDataset("no training samples")
     if len(xs) != len(ys):
         raise DimMismatch(f"{len(xs)} features but {len(ys)} labels")
+    if len({x.shape for x in xs}) != 1:
+        raise DimMismatch("features differ in dim")
+    xs = np.stack(xs)
+    if np.any((ys < 0) | (ys >= params.classes)):
+        raise DimMismatch(f"labels must lie in 0..{params.classes - 1}")
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if batch_size is not None and rng is None:
@@ -108,14 +138,8 @@ def train(features, labels, params: SoftmaxParams, lr: float, epochs: int,
                    [order[i:i + batch_size] for i in range(0, n, batch_size)])
         total = 0.0
         for batch in batches:
-            p = SoftmaxParams(weight=weight, bias=bias)
-            gw = np.zeros_like(weight)
-            gb = np.zeros_like(bias)
-            for i in batch:
-                loss, dw, db, _ = xent_loss_grad(xs[i], ys[i], p)
-                total += loss
-                gw += dw
-                gb += db
+            loss, gw, gb, _ = xent_rows(xs[batch], ys[batch], weight, bias)
+            total += loss
             weight = weight - lr * gw / len(batch)
             bias = bias - lr * gb / len(batch)
         curve.append(total / n)
@@ -125,11 +149,17 @@ def train(features, labels, params: SoftmaxParams, lr: float, epochs: int,
 def apply_class_weights(scores: ClassScores, weights: ClassWeights):
     """Multiply scores by per-class weights (no renormalization) and argmax.
 
-    Ties break toward the lowest index.  Returns (reweighted, predicted).
+    Ties in the reweighted scores break toward the higher raw score, then
+    the lowest index.  Rounding can make two distinct scores tie once scaled
+    by the same weight, so this keeps uniform weights from changing the
+    prediction.  Returns (reweighted, predicted): an int for one score
+    vector, an int array for stacked (B, C) scores.
     """
     probs = scores.probs
     w = weights.weights
-    if probs.shape != w.shape:
+    if probs.shape[-1:] != w.shape:
         raise DimMismatch(f"scores dim {probs.shape} != weights dim {w.shape}")
     reweighted = probs * w
-    return reweighted, int(np.argmax(reweighted))
+    best = reweighted == reweighted.max(axis=-1, keepdims=True)
+    predicted = np.argmax(np.where(best, probs, -1.0), axis=-1)
+    return reweighted, (int(predicted) if probs.ndim == 1 else predicted)

@@ -6,6 +6,7 @@ values are validated at load time.  The env var ``AVF_SEED`` overrides the
 seed.  See the README for the full key table.
 """
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -55,18 +56,25 @@ def _parse_int(v):
         raise InvalidConfig(f"expected an integer, got {v!r}") from None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_float(v):
     try:
-        return float(v)
+        return _finite(v)
     except ValueError:
-        raise InvalidConfig(f"expected a number, got {v!r}") from None
+        raise InvalidConfig(f"expected a finite number, got {v!r}") from None
 
 
 def _parse_float_list(v):
     try:
-        return tuple(float(part) for part in v.split(",") if part.strip() != "")
+        return tuple(_finite(part) for part in v.split(",") if part.strip() != "")
     except ValueError:
-        raise InvalidConfig(f"expected comma-separated numbers, got {v!r}") from None
+        raise InvalidConfig(f"expected comma-separated finite numbers, got {v!r}") from None
 
 
 def _parse_enum(options):

@@ -9,6 +9,10 @@ class DimMismatch(AvfusionError):
     """Operand shapes are inconsistent with each other or with parameters."""
 
 
+class NonFiniteValue(AvfusionError, ValueError):
+    """An input holds NaN or Inf; rejected once, where it enters the package."""
+
+
 class MissingForwardCache(AvfusionError):
     """A backward pass was requested without the matching forward cache."""
 
@@ -55,3 +59,7 @@ class TruncatedFile(AvfusionError):
 
 class DimOverflow(AvfusionError):
     """Declared dimensions are zero, absurdly large, or unencodable."""
+
+
+class BadTensorName(AvfusionError):
+    """A checkpoint tensor name is not valid UTF-8 or repeats an earlier one."""

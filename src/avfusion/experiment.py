@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, fbp
-from .classifier import (ClassWeights, SoftmaxParams, apply_class_weights,
-                         softmax_forward, xent_loss_grad)
+from .classifier import (ClassScores, ClassWeights, SoftmaxParams,
+                         apply_class_weights, class_probs, xent_rows)
 from .config import ExperimentConfig, config_summary, resolved_class_weights
 from .errors import DimMismatch, EmptyDataset, NumericalDivergence
 from .features import FeatureSet
 from .featfile import save_checkpoint
+from .numeric import check_finite
 from .rng import Rng
 from .synthetic import SyntheticDataset, enhanced_dim, gen_synthetic
 
@@ -37,8 +38,8 @@ class Metrics:
 
 def compute_metrics(y_true, y_pred, classes: int) -> Metrics:
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        confusion[t, p] += 1
+    np.add.at(confusion, (np.asarray(y_true, dtype=np.int64),
+                          np.asarray(y_pred, dtype=np.int64)), 1)
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total if total else 0.0
     row_sums = confusion.sum(axis=1)
@@ -46,12 +47,32 @@ def compute_metrics(y_true, y_pred, classes: int) -> Metrics:
     return Metrics(accuracy=accuracy, per_class_recall=recall, confusion=confusion)
 
 
+# Rows per block: one block row's share of the widest intermediate of every
+# stage (audio set, visual set, fused or FBP product), summed, times the rows
+# stays within this many float64 values (128 KiB; 51 rows of the default
+# config).  Block temporaries then stay below glibc's mmap threshold and are
+# reused from the heap instead of being mapped and faulted in on every
+# operation, and peak memory does not grow with the batch.
+BLOCK_FLOATS = 1 << 14
+
+
 class IntraStage:
-    """One modality's attention pooling with a uniform forward/backward API."""
+    """One modality's attention pooling with a uniform batched forward/backward API."""
+
+    _KINDS = {
+        "self": (attention.self_pool, attention.self_pool_backward),
+        "relation": (attention.relation_pool, attention.relation_pool_backward),
+        "transformer": (attention.transformer_pool, attention.transformer_pool_backward),
+    }
 
     def __init__(self, kind: str, in_dim: int, hidden: int, rng: Rng):
+        if kind not in self._KINDS:
+            raise ValueError(f"unknown intra fusion kind {kind!r}")
         self.kind = kind
         self.in_dim = in_dim
+        self._pool, self._backward = self._KINDS[kind]
+        # floats per feature in the widest (B, n, .) intermediate
+        self.frame_floats = in_dim
         if kind == "self":
             self.params = {"w0": attention.SelfAttnParams.init(in_dim, rng).w0}
             self.out_dim = in_dim
@@ -59,39 +80,47 @@ class IntraStage:
             self.params = {"w0": attention.SelfAttnParams.init(in_dim, rng).w0,
                            "w1": attention.RelationAttnParams.init(in_dim, rng).w1}
             self.out_dim = 2 * in_dim
-        elif kind == "transformer":
+        else:
             p = attention.TransformerAttnParams.init(in_dim, hidden, rng)
             self.params = {"w2": p.w2, "b": p.b, "u": p.u}
             self.out_dim = in_dim
-        else:
-            raise ValueError(f"unknown intra fusion kind {kind!r}")
+            self.frame_floats = max(in_dim, hidden)
+
+    def pool(self, feats: np.ndarray):
+        """(B, n, in_dim) stacked feature sets -> ((B, out_dim) pooled rows, cache)."""
+        return self._pool(feats, *self.params.values())
+
+    def backward(self, cache, d_pooled: np.ndarray) -> dict:
+        """Parameter gradients summed over the batch; no input gradient is formed."""
+        grads = self._backward(cache, d_pooled)
+        # the trailing input gradient is None here and falls off the zip
+        return dict(zip(self.params, grads))
 
     def forward(self, fs: FeatureSet):
-        if self.kind == "self":
-            res = attention.self_attend(fs, attention.SelfAttnParams(self.params["w0"]))
-        elif self.kind == "relation":
-            res = attention.relation_attend(fs,
-                                            attention.SelfAttnParams(self.params["w0"]),
-                                            attention.RelationAttnParams(self.params["w1"]))
-        else:
-            res = attention.transformer_attend(
-                fs, attention.TransformerAttnParams(self.params["w2"],
-                                                    self.params["b"], self.params["u"]))
-        return res.pooled, res.cache
+        """One feature set -> (pooled vector, cache): the B=1 case of ``pool``."""
+        if fs.dim != self.in_dim:
+            raise DimMismatch(f"features have dim {fs.dim}, the stage expects {self.in_dim}")
+        pooled, cache = self.pool(fs.vectors[None])
+        return pooled[0], cache
 
-    def backward(self, cache, d_pooled) -> dict:
-        if self.kind == "self":
-            d_w0, _ = attention.self_attend_backward(cache, d_pooled)
-            return {"w0": d_w0}
-        if self.kind == "relation":
-            d_w0, d_w1, _ = attention.relation_attend_backward(cache, d_pooled)
-            return {"w0": d_w0, "w1": d_w1}
-        d_w2, d_b, d_u, _ = attention.transformer_attend_backward(cache, d_pooled)
-        return {"w2": d_w2, "b": d_b, "u": d_u}
+
+def _stack_sets(sets, dim: int, name: str) -> np.ndarray:
+    """Equal-size feature sets stacked into one finite (B, n, dim) array."""
+    shape = sets[0].vectors.shape
+    if shape[1] != dim:
+        raise DimMismatch(f"{name} features have dim {shape[1]}, the model expects {dim}")
+    if any(fs.vectors.shape != shape for fs in sets):
+        raise DimMismatch(f"{name} feature sets differ in size; every set must be {shape}")
+    return check_finite(np.array([fs.vectors for fs in sets]), f"{name} features")
 
 
 class FusionPipeline:
-    """Attention pooling per modality -> cross-modal fusion -> softmax."""
+    """Attention pooling per modality -> cross-modal fusion -> softmax.
+
+    The arithmetic runs on stacked batches: ``batch_loss`` and
+    ``predict_rows`` take (B, n, d) audio and visual arrays.  ``sample_loss``
+    and ``predict`` are the validated B=1 case.
+    """
 
     def __init__(self, cfg: ExperimentConfig, rng: Rng):
         self.cfg = cfg
@@ -137,73 +166,152 @@ class FusionPipeline:
                                   f"model expects {target.size}")
             target[...] = arr.reshape(target.shape)
 
-    # --- forward / backward -------------------------------------------------
-    def sample_loss(self, audio_fs, visual_fs, label, train: bool = False,
-                    rng: Rng | None = None, dropout_mask=None):
-        """Loss, probabilities, and hand-chained gradients for one sample."""
-        a_vec, a_cache = self.audio.forward(audio_fs)
-        v_vec, v_cache = self.visual.forward(visual_fs)
+    # --- input validation ---------------------------------------------------
+    def stack(self, audio_sets, visual_sets, labels=None):
+        """Validated (B, n, d) audio and visual arrays, and (B,) int labels.
+
+        Every set of a modality must have the same size (ragged sets raise
+        DimMismatch); labels must lie in 0..classes-1.
+        """
+        audio = _stack_sets(audio_sets, self.audio.in_dim, "audio")
+        visual = _stack_sets(visual_sets, self.visual.in_dim, "visual")
+        if labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
+            if np.any((labels < 0) | (labels >= self.clf.classes)):
+                raise DimMismatch(f"labels must lie in 0..{self.clf.classes - 1}")
+        return audio, visual, labels
+
+    def block_rows(self, audio: np.ndarray, visual: np.ndarray) -> int:
+        """Rows per block for stacked inputs of these shapes (see BLOCK_FLOATS)."""
+        fused = self.clf.weight.shape[1]
         if self.fbp_params is not None:
-            mode = "train" if train else "eval"
-            res = fbp.fbp_fuse(a_vec, v_vec, self.fbp_params, mode=mode, rng=rng,
-                               dropout_mask=dropout_mask)
-            fused = res.fused.values
+            fused = max(fused, self.fbp_params.u_tilde.shape[1])
+        row_floats = (audio.shape[1] * self.audio.frame_floats
+                      + visual.shape[1] * self.visual.frame_floats + fused)
+        return max(1, BLOCK_FLOATS // row_floats)
+
+    @property
+    def dropout_active(self) -> bool:
+        return self.fbp_params is not None and self.fbp_params.dropout_p > 0.0
+
+    # --- forward / backward on stacked rows ---------------------------------
+    def _fuse_rows(self, audio, visual, mask_scale=None):
+        a_vec, a_cache = self.audio.pool(audio)
+        v_vec, v_cache = self.visual.pool(visual)
+        if self.fbp_params is not None:
+            fused, f_cache = fbp.fbp_rows(a_vec, v_vec, self.fbp_params, mask_scale)
         else:
-            fused = fbp.concat_fuse(a_vec, v_vec).values
-        loss, d_weight, d_bias, d_fused = xent_loss_grad(fused, label, self.clf)
+            fused, f_cache = np.concatenate([a_vec, v_vec], axis=1), None
+        return fused, (a_cache, v_cache, f_cache)
+
+    def batch_loss(self, audio, visual, labels, mask_scale=None):
+        """Summed loss and hand-chained gradients over stacked rows.
+
+        ``mask_scale`` is the (B, k*o) rescaled FBP dropout mask, None for
+        no dropout.
+        """
+        fused, (a_cache, v_cache, f_cache) = self._fuse_rows(audio, visual, mask_scale)
+        loss, d_weight, d_bias, d_fused = xent_rows(fused, labels, self.clf.weight,
+                                                    self.clf.bias)
         grads = {"clf.weight": d_weight, "clf.bias": d_bias}
-        if self.fbp_params is not None:
-            d_u, d_v_tilde, d_a, d_v = fbp.fbp_backward(res.cache, d_fused)
+        if f_cache is not None:
+            d_u, d_v_tilde, d_a, d_v = fbp.fbp_rows_backward(f_cache, d_fused)
             grads["fbp.u_tilde"] = d_u
             grads["fbp.v_tilde"] = d_v_tilde
         else:
-            d_a = d_fused[:self.audio.out_dim]
-            d_v = d_fused[self.audio.out_dim:]
+            d_a = d_fused[:, :self.audio.out_dim]
+            d_v = d_fused[:, self.audio.out_dim:]
         for prefix, stage, cache, d_vec in (("audio", self.audio, a_cache, d_a),
                                             ("visual", self.visual, v_cache, d_v)):
             for name, g in stage.backward(cache, d_vec).items():
                 grads[f"{prefix}.{name}"] = g
         return loss, grads
 
+    def update_loss(self, audio, visual, labels, key: int | None = None):
+        """Summed loss and gradients of one update, walked in row blocks.
+
+        ``key`` keys the dropout counter stream for this update (None: no
+        dropout).  Row r uses counters r*k*o .. (r+1)*k*o - 1, so the masks,
+        and the result up to summation order, do not depend on the blocks.
+        """
+        step = self.block_rows(audio, visual)
+        total, acc = 0.0, None
+        for r0 in range(0, len(labels), step):
+            r1 = min(r0 + step, len(labels))
+            mask = None if key is None else fbp.dropout_scale(key, r0, r1, self.fbp_params)
+            loss, grads = self.batch_loss(audio[r0:r1], visual[r0:r1], labels[r0:r1], mask)
+            total += loss
+            if acc is None:
+                acc = grads
+            else:
+                for name, g in grads.items():
+                    acc[name] += g
+        return total, acc
+
+    def predict_rows(self, audio, visual) -> np.ndarray:
+        """Class-reweighted predictions (B,) for stacked rows, in row blocks."""
+        step = self.block_rows(audio, visual)
+        preds = []
+        for r0 in range(0, len(audio), step):
+            fused, _ = self._fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step])
+            scores = ClassScores(class_probs(fused, self.clf.weight, self.clf.bias))
+            preds.append(apply_class_weights(scores, self.class_weights)[1])
+        return np.concatenate(preds)
+
+    # --- validated per-sample API (B = 1) -----------------------------------
+    def sample_loss(self, audio_fs, visual_fs, label, train: bool = False,
+                    rng: Rng | None = None, dropout_mask=None):
+        """Loss and hand-chained gradients for one sample.
+
+        In training with FBP dropout the mask is ``dropout_mask`` (0/1,
+        frozen) or row 0 under one key drawn from ``rng``.
+        """
+        audio, visual, labels = self.stack([audio_fs], [visual_fs], [label])
+        mask = None
+        if train and self.dropout_active:
+            mask = fbp.sample_mask_scale(self.fbp_params, rng, dropout_mask)
+        return self.batch_loss(audio, visual, labels, mask)
+
     def predict(self, audio_fs, visual_fs) -> int:
-        a_vec, _ = self.audio.forward(audio_fs)
-        v_vec, _ = self.visual.forward(visual_fs)
-        if self.fbp_params is not None:
-            fused = fbp.fbp_fuse(a_vec, v_vec, self.fbp_params, mode="eval").fused.values
-        else:
-            fused = fbp.concat_fuse(a_vec, v_vec).values
-        scores = softmax_forward(fused, self.clf)
-        _, predicted = apply_class_weights(scores, self.class_weights)
-        return predicted
+        audio, visual, _ = self.stack([audio_fs], [visual_fs])
+        return int(self.predict_rows(audio, visual)[0])
+
+
+def stack_samples(model: FusionPipeline, samples):
+    """(audio, visual, labels) arrays for a list of (audio, visual, label) triples."""
+    return model.stack([s[0] for s in samples], [s[1] for s in samples],
+                       [s[2] for s in samples])
 
 
 def train_pipeline(model: FusionPipeline, samples, epochs: int, lr: float,
                    rng: Rng, batch_size: int = 0) -> list:
-    """Gradient descent over (audio, visual, label) triples; returns loss curve."""
+    """Gradient descent over (audio, visual, label) triples; returns loss curve.
+
+    The samples are validated and stacked once.  Each update (the whole set,
+    or a shuffled mini-batch of ``batch_size``) is one batched step; with
+    FBP dropout it draws one ``rng.next_u64()`` key for its masks.
+    """
     if not samples:
         raise EmptyDataset("no training samples")
+    audio, visual, labels = stack_samples(model, samples)
     tensors = model.tensors()
     curve = []
-    n = len(samples)
+    n = len(labels)
     for epoch in range(epochs):
-        order = list(range(n))
         if batch_size:
+            order = list(range(n))
             rng.shuffle(order)
-            batches = [order[i:i + batch_size] for i in range(0, n, batch_size)]
+            batches = [np.array(order[i:i + batch_size]) for i in range(0, n, batch_size)]
         else:
-            batches = [order]
+            batches = [slice(None)]
         total = 0.0
         for batch in batches:
-            acc = {name: np.zeros_like(arr) for name, arr in tensors.items()}
-            for i in batch:
-                audio_fs, visual_fs, label = samples[i]
-                loss, grads = model.sample_loss(audio_fs, visual_fs, label,
-                                                train=True, rng=rng)
-                total += loss
-                for name, g in grads.items():
-                    acc[name] += g
+            key = rng.next_u64() if model.dropout_active else None
+            loss, grads = model.update_loss(audio[batch], visual[batch], labels[batch], key)
+            total += loss
+            rows = n if batch_size == 0 else len(batch)
             for name, arr in tensors.items():
-                arr -= lr * acc[name] / len(batch)
+                arr -= lr * grads[name] / rows
         avg = total / n
         if not np.isfinite(avg):
             raise NumericalDivergence(f"training loss became {avg} at epoch {epoch}")
@@ -245,10 +353,12 @@ def prepare_dataset(cfg: ExperimentConfig):
 
 
 def evaluate_pipeline(model: FusionPipeline, dataset: SyntheticDataset, indices) -> Metrics:
-    y_true = [dataset.samples[i][2] for i in indices]
-    y_pred = [model.predict(dataset.samples[i][0], dataset.samples[i][1])
-              for i in indices]
-    return compute_metrics(y_true, y_pred, dataset.classes)
+    """Metrics of class-reweighted predictions on the indexed samples, batched."""
+    samples = [dataset.samples[i] for i in indices]
+    if not samples:
+        return compute_metrics([], [], dataset.classes)
+    audio, visual, labels = stack_samples(model, samples)
+    return compute_metrics(labels, model.predict_rows(audio, visual), dataset.classes)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,

@@ -7,15 +7,17 @@ step in the pipeline; everything in memory is float64.
 Checkpoint ("AVFCKPT1"): 8-byte magic, then for each tensor: u16 LE name
 length, UTF-8 name, u32 LE rows, u32 LE cols, rows*cols float64 LE
 row-major.  Vectors are stored as rows x 1.  Tensor order is preserved, so
-identical parameter dicts serialize to identical bytes.
+identical parameter dicts serialize to identical bytes.  Loading rejects
+names that are not UTF-8 or repeat, and non-finite values.
 """
 
 import struct
 
 import numpy as np
 
-from .errors import CorruptMagic, DimOverflow, TruncatedFile
+from .errors import BadTensorName, CorruptMagic, DimOverflow, TruncatedFile
 from .features import FeatureSet
+from .numeric import check_finite
 
 FEATURE_MAGIC = b"AVF1"
 CHECKPOINT_MAGIC = b"AVFCKPT1"
@@ -89,7 +91,12 @@ def load_checkpoint(path) -> dict:
         pos += 2
         if pos + name_len + 8 > len(data):
             raise TruncatedFile("checkpoint ends inside a tensor header")
-        name = data[pos:pos + name_len].decode("utf-8")
+        try:
+            name = data[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise BadTensorName(f"tensor name at byte {pos} is not valid UTF-8") from None
+        if name in tensors:
+            raise BadTensorName(f"tensor {name!r} appears twice")
         pos += name_len
         rows, cols = struct.unpack_from("<II", data, pos)
         pos += 8
@@ -99,6 +106,6 @@ def load_checkpoint(path) -> dict:
         if pos + nbytes > len(data):
             raise TruncatedFile(f"tensor {name!r} payload is short")
         arr = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=pos)
-        tensors[name] = arr.reshape(rows, cols).copy()
+        tensors[name] = check_finite(arr.reshape(rows, cols).copy(), f"tensor {name!r}")
         pos += nbytes
     return tensors

@@ -9,6 +9,7 @@ aggregators reduce.
 import numpy as np
 
 from .errors import DimMismatch
+from .numeric import check_finite
 
 
 class FeatureSet:
@@ -22,9 +23,7 @@ class FeatureSet:
             raise DimMismatch(
                 f"FeatureSet needs n >= 1 vectors of uniform dim >= 1, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("FeatureSet contains NaN or Inf")
-        self.vectors = arr
+        self.vectors = check_finite(arr, "FeatureSet")
 
     @property
     def n(self) -> int:

@@ -1,14 +1,23 @@
 """Dense numeric primitives.
 
 Conventions used throughout the package: vectors are 1-D float64 arrays,
-matrices are 2-D row-major float64 arrays, complex spectra are complex128
-arrays.  All public operations reject NaN/Inf inputs so non-finite values
-cannot propagate silently.
+matrices are 2-D row-major float64 arrays, batches stack samples along a
+leading axis, complex spectra are complex128 arrays.  Non-finite values are
+rejected once, where data enters the package (``check_finite``,
+``check_vec``, ``check_mat``); the arithmetic primitives below assume
+validated input.
 """
 
 import numpy as np
 
-from .errors import DimMismatch
+from .errors import DimMismatch, NonFiniteValue
+
+
+def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """Return ``arr`` unchanged, or raise NonFiniteValue if it holds NaN or Inf."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue(f"{name} contains NaN or Inf")
+    return arr
 
 
 def check_vec(x, name: str = "vector") -> np.ndarray:
@@ -16,9 +25,7 @@ def check_vec(x, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise DimMismatch(f"{name} must be 1-D with at least one entry, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or Inf")
-    return arr
+    return check_finite(arr, name)
 
 
 def check_mat(x, name: str = "matrix") -> np.ndarray:
@@ -26,9 +33,7 @@ def check_mat(x, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimMismatch(f"{name} must be 2-D with positive shape, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or Inf")
-    return arr
+    return check_finite(arr, name)
 
 
 def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -44,24 +49,21 @@ def sigmoid(x):
     """Numerically stable logistic function, elementwise on scalars or arrays.
 
     Only exponentials of non-positive arguments are evaluated, so there is no
-    overflow for any finite input.
+    overflow for any finite input: 1/(1+e) for x >= 0 and e/(1+e) for x < 0,
+    with e = exp(-|x|).
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
-    if np.isscalar(x) or arr.ndim == 0:
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    if arr.ndim == 0:
         return float(out)
     return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Shift-invariant softmax over a 1-D array (max-subtraction stabilized)."""
-    z = check_vec(z, "logits")
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+    """Shift-invariant softmax along the last axis (max-subtraction stabilized)."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def dft(x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,14 @@ Test vectors (first three ``next_u64`` outputs):
     seed 0  -> 8916199331640804048, 16032783972208265725, 12954103179475586193
     seed 1  -> 5424204624148110235, 15555979849632202484, 6851360858507811590
     seed 42 -> 3580622183945639842, 10378725325292465923, 8967075514996744559
+
+Bulk draws (dropout masks) come from a second, counter-based stream after
+Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011):
+output ``i`` under key ``k`` is the splitmix64 finalizer of
+``k + (i + 1) * golden`` (mod 2^64), i.e. the i-th output of a splitmix64
+generator seeded with ``k``.  Any slice of counters can be drawn on its own
+with numpy uint64 arithmetic, and the values do not depend on how the
+counters are split into calls.
 """
 
 import math
@@ -21,14 +29,33 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _splitmix64(x: int) -> int:
     """One splitmix64 finalizer round; used for seeding and splitting."""
     x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
+
+
+def counter_uniform(key: int, start: int, stop: int) -> np.ndarray:
+    """Uniforms in [0, 1) for counters start..stop-1 of the stream under ``key``.
+
+    Each value has 53 random mantissa bits, as in ``Rng.uniform``.
+    """
+    x = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    x *= np.uint64(_GOLDEN)
+    x += np.uint64(int(key) & _MASK64)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(11)
+    return x * (1.0 / (1 << 53))
 
 
 class Rng:

@@ -14,6 +14,7 @@ from avfusion.checks import (check_relation_attention, check_self_attention,
                              check_transformer_attention)
 from avfusion.errors import DimMismatch, MissingForwardCache
 from avfusion.features import FeatureSet
+from avfusion.gradcheck import grad_check
 from avfusion.rng import Rng
 
 
@@ -217,6 +218,31 @@ class TestBackward:
         assert check_self_attention(seed) < 1e-4
         assert check_relation_attention(seed) < 1e-4
         assert check_transformer_attention(seed) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradcheck_input_features(self, seed):
+        # d_features of every mechanism against central differences
+        rng, fs = _random_instance(seed + 300)
+        d = fs.dim
+        p0 = SelfAttnParams(rng.uniform_vec(d, -1, 1))
+        p1 = RelationAttnParams(rng.uniform_vec(2 * d, -1, 1))
+        pt = TransformerAttnParams(rng.uniform_mat(3, d, -1, 1),
+                                   rng.normal_vec(3), rng.normal_vec(3))
+        mechanisms = {
+            "self": (lambda f: self_attend(f, p0), self_attend_backward, d),
+            "relation": (lambda f: relation_attend(f, p0, p1), relation_attend_backward, 2 * d),
+            "transformer": (lambda f: transformer_attend(f, pt), transformer_attend_backward, d),
+        }
+        for name, (forward, backward, width) in mechanisms.items():
+            upstream = rng.normal_vec(width)
+
+            def loss(ps):
+                res = forward(FeatureSet(ps["features"]))
+                d_feats = backward(res.cache, upstream)[-1]
+                return float(res.pooled @ upstream), {"features": d_feats}
+
+            err = grad_check(loss, {"features": fs.vectors.copy()})
+            assert err < 1e-4, f"{name}: {err}"
 
     def test_zero_upstream_gives_zero_parameter_gradients(self):
         rng, fs = _random_instance(99)

@@ -160,6 +160,15 @@ class TestClassWeights:
                                            ClassWeights(np.ones(4)))
         assert predicted == 0
 
+    def test_rounding_tie_breaks_to_higher_raw_score(self):
+        # 2.5 * p4 and 2.5 * p5 round to the same value although p4 < p5
+        probs = np.array([1.0, 1.3125, 1.6875, 6.5, 9.999999999999998, 10.0, 9.75])
+        probs /= np.sum(probs)
+        reweighted, predicted = apply_class_weights(ClassScores(probs=probs),
+                                                    ClassWeights(np.full(7, 2.5)))
+        assert reweighted[4] == reweighted[5]
+        assert predicted == 5
+
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
             ClassWeights(np.array([0.5, 0.0, 0.5]))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,38 @@ class TestErrorSurface:
         rc = main(["eval", "--checkpoint", str(bad), "--config", str(cfg_path)])
         assert rc != 0
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _single_error_line(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestNonFiniteAndBadNames:
+    def test_fuse_with_nan_feature_file(self, cfg_path, tmp_path, capsys):
+        values = np.array([[1.0, np.nan, 0.5, 2.0]], dtype="<f4")
+        (tmp_path / "nan.avf").write_bytes(b"AVF1" + struct.pack("<II", 1, 4) + values.tobytes())
+        save_features(tmp_path / "v.avf", FeatureSet(np.ones((2, 4))))
+        rc = main(["fuse", "--config", str(cfg_path), "--audio", str(tmp_path / "nan.avf"),
+                   "--visual", str(tmp_path / "v.avf"), "--out", str(tmp_path / "o.avf")])
+        assert rc == 1
+        assert _single_error_line(capsys)
+
+    @pytest.mark.parametrize("line", ["class_weights=nan,1,1,1,1,1,1", "data.noise=inf"])
+    def test_train_with_non_finite_config_value(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(CFG_SMALL + line + "\n")
+        rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert _single_error_line(capsys)
+
+    def test_eval_with_checkpoint_name_that_is_not_utf8(self, cfg_path, tmp_path, capsys):
+        bad = tmp_path / "name.bin"
+        body = struct.pack("<H", 2) + b"\xc3\x28" + struct.pack("<II", 1, 1) + b"\x00" * 8
+        bad.write_bytes(b"AVFCKPT1" + body)
+        rc = main(["eval", "--checkpoint", str(bad), "--config", str(cfg_path)])
+        assert rc == 1
+        assert _single_error_line(capsys)
 
 
 class TestSynth:

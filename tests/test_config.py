@@ -112,3 +112,10 @@ def test_summary_round_trips_through_parser():
     cfg = parse_config("seed=11\naudio.fusion=relation\nfbp.o=16\n")
     again = parse_config(config_summary(cfg))
     assert again == cfg
+
+
+@pytest.mark.parametrize("line", ["data.noise=inf", "classifier.lr=nan", "fbp.dropout=-inf",
+                                  "class_weights=nan,1,1,1,1,1,1", "tta.scales=1,inf"])
+def test_non_finite_numbers_rejected(line):
+    with pytest.raises(InvalidConfig, match="finite"):
+        parse_config(line + "\n")

@@ -3,7 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from avfusion.errors import CorruptMagic, DimOverflow, TruncatedFile
+from avfusion.errors import (BadTensorName, CorruptMagic, DimOverflow, NonFiniteValue,
+                             TruncatedFile)
 from avfusion.featfile import (load_checkpoint, load_features, save_checkpoint,
                                save_features)
 from avfusion.features import FeatureSet
@@ -106,4 +107,24 @@ class TestCheckpoint:
         body = struct.pack("<H", 1) + b"w" + struct.pack("<II", 0, 5)
         path.write_bytes(b"AVFCKPT1" + body)
         with pytest.raises(DimOverflow):
+            load_checkpoint(path)
+
+    def test_name_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "name.bin"
+        body = struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<II", 1, 1) + b"\x00" * 8
+        path.write_bytes(b"AVFCKPT1" + body)
+        with pytest.raises(BadTensorName):
+            load_checkpoint(path)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.bin"
+        tensor = struct.pack("<H", 1) + b"w" + struct.pack("<II", 1, 1) + struct.pack("<d", 1.0)
+        path.write_bytes(b"AVFCKPT1" + tensor + tensor)
+        with pytest.raises(BadTensorName):
+            load_checkpoint(path)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        path = tmp_path / "nan.bin"
+        save_checkpoint(path, {"w": np.array([1.0, np.nan])})
+        with pytest.raises(NonFiniteValue):
             load_checkpoint(path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avfusion.errors import DimMismatch
+from avfusion.errors import AvfusionError, DimMismatch, NonFiniteValue
 from avfusion.numeric import (check_mat, check_vec, dft, fft_radix2, idft,
                               matvec, sigmoid, softmax)
 from avfusion.rng import Rng
@@ -117,3 +117,17 @@ def test_validators_reject_nan():
         check_mat(np.array([[np.inf, 1.0]]))
     with pytest.raises(DimMismatch):
         check_vec(np.ones((2, 2)))
+
+
+def test_non_finite_rejection_is_a_package_error_and_a_value_error():
+    with pytest.raises(NonFiniteValue) as exc:
+        check_vec(np.array([np.inf]))
+    assert isinstance(exc.value, AvfusionError)
+    assert isinstance(exc.value, ValueError)
+
+
+def test_softmax_rows_are_independent():
+    logits = np.array([[1.0, 2.0, 3.0], [1e4, -1e4, 0.0]])
+    probs = softmax(logits)
+    assert np.allclose(probs[0], softmax(logits[0]), atol=1e-15)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
