@@ -9,7 +9,7 @@ validated by finite differences, plus a config-driven experiment CLI.
 from .attention import (RelationAttnParams, SelfAttnParams, TransformerAttnParams,
                         relation_attend, self_attend, transformer_attend)
 from .classifier import (ClassScores, ClassWeights, SoftmaxParams,
-                         apply_class_weights, softmax_forward, train)
+                         apply_class_weights, softmax_forward)
 from .config import ExperimentConfig, load_config, parse_config
 from .enhance import (TtaTransform, enumerate_tta, f_ar_mean, f_mean,
                       f_meanstd, f_normfft)

@@ -214,6 +214,16 @@ def transformer_pool_backward(cache: TransformerAttnCache, d_pooled: np.ndarray,
     return d_w2, d_b, d_u, d_feats
 
 
+# kind -> (pool, pool_backward): pool takes (B, n, d) features and then the
+# parameters in order; pool_backward returns their gradients in the same
+# order, then d_features or None
+POOLS = {
+    "self": (self_pool, self_pool_backward),
+    "relation": (relation_pool, relation_pool_backward),
+    "transformer": (transformer_pool, transformer_pool_backward),
+}
+
+
 # --- validated per-sample API (B = 1) ---------------------------------------
 
 

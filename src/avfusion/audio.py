@@ -22,7 +22,7 @@ from .errors import (ClipTooShort, CorruptHeader, DimMismatch,
                      GridTooFineForInput, MissingForwardCache,
                      UnsupportedFormat)
 from .features import FeatureSet
-from .numeric import fft_radix2
+from .numeric import check_finite
 from .rng import Rng
 
 SUPPORTED_RATES = (8000, 16000, 44100, 48000)
@@ -40,8 +40,7 @@ class AudioClip:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise DimMismatch("audio samples must be a 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("audio samples contain NaN or Inf")
+        check_finite(arr, "audio samples")
         if arr.size and (np.min(arr) < -1.0 or np.max(arr) > 1.0):
             raise ValueError("audio samples must lie in [-1, 1]")
         if self.sample_rate not in SUPPORTED_RATES:
@@ -166,11 +165,16 @@ def frame_signal(clip: AudioClip, window_ms: float = 40.0,
     n = len(clip)
     if n < win:
         raise ClipTooShort(f"clip has {n} samples, window needs {win}")
-    count = (n - win) // hop + 1
-    frames = np.empty((count, win))
-    for i in range(count):
-        frames[i] = clip.samples[i * hop:i * hop + win]
+    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
     return frames * hamming_periodic(win)
+
+
+def _spectrum(frames: np.ndarray) -> np.ndarray:
+    """FFT_SIZE-point real FFT of zero-padded frames, (frames, FFT_SIZE//2 + 1)."""
+    # rfft would silently crop a longer frame to n, so refuse it here
+    if frames.shape[1] > FFT_SIZE:
+        raise ValueError(f"window of {frames.shape[1]} samples exceeds FFT size {FFT_SIZE}")
+    return np.fft.rfft(frames, n=FFT_SIZE)
 
 
 def speech_spectrogram(clip: AudioClip, window_ms: float = 40.0,
@@ -180,12 +184,7 @@ def speech_spectrogram(clip: AudioClip, window_ms: float = 40.0,
     Frames are zero-padded to the 1024-point FFT, magnitudes are floored at
     1e-10 before the natural log.
     """
-    frames = frame_signal(clip, window_ms, hop_ms)
-    if frames.shape[1] > FFT_SIZE:
-        raise ValueError(f"window of {frames.shape[1]} samples exceeds FFT size {FFT_SIZE}")
-    padded = np.zeros((frames.shape[0], FFT_SIZE))
-    padded[:, :frames.shape[1]] = frames
-    spectrum = fft_radix2(padded)
+    spectrum = _spectrum(frame_signal(clip, window_ms, hop_ms))
     mag = np.abs(spectrum[:, :SPEECH_BINS])
     return Spectrogram(values=np.log(np.maximum(mag, LOG_FLOOR)))
 
@@ -224,11 +223,7 @@ def mel_filterbank(bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
 def log_mel_3d(clip: AudioClip, bands: int = 40, window_ms: float = 40.0,
                hop_ms: float = 10.0) -> MelCube:
     """Log mel-spectrogram with delta and delta-delta channels, (bands, frames, 3)."""
-    frames = frame_signal(clip, window_ms, hop_ms)
-    padded = np.zeros((frames.shape[0], FFT_SIZE))
-    padded[:, :frames.shape[1]] = frames
-    spectrum = fft_radix2(padded)
-    power = np.abs(spectrum[:, :FFT_SIZE // 2 + 1]) ** 2
+    power = np.abs(_spectrum(frame_signal(clip, window_ms, hop_ms))) ** 2
     bank = mel_filterbank(bands, FFT_SIZE, clip.sample_rate)
     static = np.log(np.maximum(power @ bank.T, LOG_FLOOR)).T  # (bands, frames)
     d1 = deltas(static)
@@ -291,12 +286,9 @@ def patch_embed(spec: Spectrogram, params: PatchEmbedParams):
     if params.projection.shape != (pixels, params.channels):
         raise DimMismatch(
             f"projection shape {params.projection.shape} != ({pixels}, {params.channels})")
-    patches = np.empty((grid_h * grid_w, pixels))
-    for gh in range(grid_h):
-        for gw in range(grid_w):
-            tile = spec.values[gh * patch_h:(gh + 1) * patch_h,
-                               gw * patch_w:(gw + 1) * patch_w]
-            patches[gh * grid_w + gw] = tile.ravel()
+    tiles = spec.values[:grid_h * patch_h, :grid_w * patch_w].reshape(
+        grid_h, patch_h, grid_w, patch_w)
+    patches = tiles.transpose(0, 2, 1, 3).reshape(grid_h * grid_w, pixels)
     out = patches @ params.projection + params.bias
     return FeatureSet(out), PatchEmbedCache(patches=patches, params=params)
 

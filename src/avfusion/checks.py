@@ -6,6 +6,8 @@ differences.  The CLI ``gradcheck`` subcommand and the acceptance tests both
 run these.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import attention, audio, fbp
@@ -24,55 +26,28 @@ def _sizes(rng: Rng):
     return rng.randint(5) + 2, rng.randint(7) + 2  # n in [2,6], d in [2,8]
 
 
-def check_self_attention(seed: int) -> float:
+def check_attention(kind: str, seed: int) -> float:
+    """Gradients of one attention kind's batched pooling at B=1."""
     rng = Rng(seed)
     n, d = _sizes(rng)
-    feats = rng.normal_mat(n, d)
-    upstream = rng.normal_vec(d)
-    params = {"w0": rng.uniform_vec(d, -0.5, 0.5)}
+    hidden = rng.randint(5) + 2 if kind == "transformer" else 0
+    feats = rng.normal_mat(n, d)[None]
+    upstream = rng.normal_vec(2 * d if kind == "relation" else d)
+    if kind == "transformer":
+        params = {"w2": rng.uniform_mat(hidden, d, -0.5, 0.5),
+                  "b": rng.normal_vec(hidden, 0.0, 0.3),
+                  "u": rng.normal_vec(hidden, 0.0, 0.5)}
+    else:
+        params = {"w0": rng.uniform_vec(d, -0.5, 0.5)}
+        if kind == "relation":
+            params["w1"] = rng.uniform_vec(2 * d, -0.5, 0.5)
+    pool, pool_backward = attention.POOLS[kind]
 
     def loss(ps):
-        res = attention.self_attend(FeatureSet(feats), attention.SelfAttnParams(ps["w0"]))
-        d_w0, _ = attention.self_attend_backward(res.cache, upstream)
-        return float(res.pooled @ upstream), {"w0": d_w0}
-
-    return grad_check(loss, params)
-
-
-def check_relation_attention(seed: int) -> float:
-    rng = Rng(seed)
-    n, d = _sizes(rng)
-    feats = rng.normal_mat(n, d)
-    upstream = rng.normal_vec(2 * d)
-    params = {"w0": rng.uniform_vec(d, -0.5, 0.5),
-              "w1": rng.uniform_vec(2 * d, -0.5, 0.5)}
-
-    def loss(ps):
-        res = attention.relation_attend(FeatureSet(feats),
-                                        attention.SelfAttnParams(ps["w0"]),
-                                        attention.RelationAttnParams(ps["w1"]))
-        d_w0, d_w1, _ = attention.relation_attend_backward(res.cache, upstream)
-        return float(res.pooled @ upstream), {"w0": d_w0, "w1": d_w1}
-
-    return grad_check(loss, params)
-
-
-def check_transformer_attention(seed: int) -> float:
-    rng = Rng(seed)
-    n, d = _sizes(rng)
-    hidden = rng.randint(5) + 2
-    feats = rng.normal_mat(n, d)
-    upstream = rng.normal_vec(d)
-    params = {"w2": rng.uniform_mat(hidden, d, -0.5, 0.5),
-              "b": rng.normal_vec(hidden, 0.0, 0.3),
-              "u": rng.normal_vec(hidden, 0.0, 0.5)}
-
-    def loss(ps):
-        res = attention.transformer_attend(
-            FeatureSet(feats),
-            attention.TransformerAttnParams(ps["w2"], ps["b"], ps["u"]))
-        d_w2, d_b, d_u, _ = attention.transformer_attend_backward(res.cache, upstream)
-        return float(res.pooled @ upstream), {"w2": d_w2, "b": d_b, "u": d_u}
+        pooled, cache = pool(feats, *ps.values())
+        # the trailing d_features (None) falls off the zip
+        grads = pool_backward(cache, upstream[None])
+        return float(pooled[0] @ upstream), dict(zip(ps, grads))
 
     return grad_check(loss, params)
 
@@ -164,9 +139,7 @@ def check_pipeline(seed: int, cross_mode: str = "fbp",
 
 
 _CHECKERS = {
-    "self": check_self_attention,
-    "relation": check_relation_attention,
-    "transformer": check_transformer_attention,
+    **{kind: partial(check_attention, kind) for kind in attention.POOLS},
     "fbp": check_fbp,
     "classifier": check_classifier,
     "patch": check_patch_embed,

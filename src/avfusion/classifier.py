@@ -1,18 +1,18 @@
-"""Softmax classifier with cross-entropy training and class re-weighting.
+"""Softmax classifier, hand-derived cross-entropy gradients, class re-weighting.
 
-Training is plain gradient descent (full batch by default, optional seeded
-mini-batches).  ``class_probs`` and ``xent_rows`` work on stacked (B, d_in)
-rows; ``softmax_forward`` and ``xent_loss_grad`` are their validated
-single-sample case.  Predicted scores can be re-weighted by per-class positive
-factors before the argmax; the default weight vector used by the experiment
-configs reflects square-root class frequencies of an emotion corpus.
+``class_probs`` and ``xent_rows`` work on stacked (B, d_in) rows;
+``softmax_forward`` and ``xent_loss_grad`` are their validated single-sample
+case.  Training is ``experiment.descend``, the package's one gradient-descent
+loop.  Predicted scores can be re-weighted by per-class positive factors
+before the argmax; the default weight vector used by the experiment configs
+reflects square-root class frequencies of an emotion corpus.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyDataset
+from .errors import DimMismatch
 from .numeric import check_finite, check_mat, check_vec, softmax
 from .rng import Rng
 
@@ -101,49 +101,6 @@ def xent_loss_grad(x: np.ndarray, label: int, params: SoftmaxParams):
     loss, d_weight, d_bias, d_x = xent_rows(x[None], np.array([label]),
                                             params.weight, params.bias)
     return loss, d_weight, d_bias, d_x[0]
-
-
-def train(features, labels, params: SoftmaxParams, lr: float, epochs: int,
-          rng: Rng | None = None, batch_size: int | None = None):
-    """Gradient-descent training; returns (trained params, per-epoch loss curve).
-
-    Full-batch by default.  With ``batch_size`` set, sample order is shuffled
-    each epoch by the supplied rng (required then) for mini-batch steps.
-    """
-    xs = [check_vec(x, "feature") for x in features]
-    ys = np.asarray(list(labels), dtype=np.int64)
-    if len(xs) == 0:
-        raise EmptyDataset("no training samples")
-    if len(xs) != len(ys):
-        raise DimMismatch(f"{len(xs)} features but {len(ys)} labels")
-    if len({x.shape for x in xs}) != 1:
-        raise DimMismatch("features differ in dim")
-    xs = np.stack(xs)
-    if np.any((ys < 0) | (ys >= params.classes)):
-        raise DimMismatch(f"labels must lie in 0..{params.classes - 1}")
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
-    if batch_size is not None and rng is None:
-        raise ValueError("mini-batch training needs an rng for shuffling")
-
-    weight = params.weight.copy()
-    bias = params.bias.copy()
-    curve = []
-    n = len(xs)
-    for _ in range(epochs):
-        order = list(range(n))
-        if batch_size is not None:
-            rng.shuffle(order)
-        batches = ([order] if batch_size is None else
-                   [order[i:i + batch_size] for i in range(0, n, batch_size)])
-        total = 0.0
-        for batch in batches:
-            loss, gw, gb, _ = xent_rows(xs[batch], ys[batch], weight, bias)
-            total += loss
-            weight = weight - lr * gw / len(batch)
-            bias = bias - lr * gb / len(batch)
-        curve.append(total / n)
-    return SoftmaxParams(weight=weight, bias=bias), curve
 
 
 def apply_class_weights(scores: ClassScores, weights: ClassWeights):

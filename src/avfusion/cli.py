@@ -162,7 +162,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AvfusionError, OSError) as exc:
+    # every ValueError the package raises is an input check, like NonFiniteValue
+    except (AvfusionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -183,7 +183,7 @@ def load_config(path, apply_env: bool = True) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from None
     cfg = parse_config(text)
     if apply_env and "AVF_SEED" in os.environ:

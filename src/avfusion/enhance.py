@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimMismatch
 from .features import FeatureBag
-from .numeric import check_vec, dft
+from .numeric import check_vec
 
 DEFAULT_ROTATIONS = (-2.0, 0.0, 2.0)
 DEFAULT_SCALES = (1.0, 1.03, 1.07)
@@ -69,7 +69,7 @@ def f_normfft(basic: np.ndarray) -> np.ndarray:
     through as zeros.  Output dim 2d.
     """
     basic = check_vec(basic, "basic feature")
-    spectrum = dft(basic)
+    spectrum = np.fft.fft(basic)
     energy = float(np.sqrt(np.sum(spectrum.real ** 2 + spectrum.imag ** 2)))
     if energy > 0.0:
         spectrum = spectrum / energy

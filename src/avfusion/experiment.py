@@ -59,18 +59,12 @@ BLOCK_FLOATS = 1 << 14
 class IntraStage:
     """One modality's attention pooling with a uniform batched forward/backward API."""
 
-    _KINDS = {
-        "self": (attention.self_pool, attention.self_pool_backward),
-        "relation": (attention.relation_pool, attention.relation_pool_backward),
-        "transformer": (attention.transformer_pool, attention.transformer_pool_backward),
-    }
-
     def __init__(self, kind: str, in_dim: int, hidden: int, rng: Rng):
-        if kind not in self._KINDS:
+        if kind not in attention.POOLS:
             raise ValueError(f"unknown intra fusion kind {kind!r}")
         self.kind = kind
         self.in_dim = in_dim
-        self._pool, self._backward = self._KINDS[kind]
+        self._pool, self._backward = attention.POOLS[kind]
         # floats per feature in the widest (B, n, .) intermediate
         self.frame_floats = in_dim
         if kind == "self":
@@ -249,13 +243,18 @@ class FusionPipeline:
         return total, acc
 
     def predict_rows(self, audio, visual) -> np.ndarray:
-        """Class-reweighted predictions (B,) for stacked rows, in row blocks."""
+        """Class-reweighted predictions (B,) for stacked rows, in row blocks.
+
+        As in training, numpy's overflow warnings are silenced; non-finite
+        scores raise NonFiniteValue.
+        """
         step = self.block_rows(audio, visual)
         preds = []
-        for r0 in range(0, len(audio), step):
-            fused, _ = self._fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step])
-            scores = ClassScores(class_probs(fused, self.clf.weight, self.clf.bias))
-            preds.append(apply_class_weights(scores, self.class_weights)[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r0 in range(0, len(audio), step):
+                fused, _ = self._fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step])
+                scores = ClassScores(class_probs(fused, self.clf.weight, self.clf.bias))
+                preds.append(apply_class_weights(scores, self.class_weights)[1])
         return np.concatenate(preds)
 
     # --- validated per-sample API (B = 1) -----------------------------------
@@ -283,6 +282,41 @@ def stack_samples(model: FusionPipeline, samples):
                        [s[2] for s in samples])
 
 
+def descend(tensors: dict, n: int, step, epochs: int, lr: float, rng: Rng | None,
+            batch_size: int = 0) -> list:
+    """Gradient descent on ``tensors`` in place; returns the per-epoch mean loss.
+
+    ``step(batch)`` returns (summed loss, gradients by tensor name) over the
+    rows ``batch`` of the n training rows: ``slice(None)`` for a full-batch
+    epoch, else an index array of a mini-batch of ``batch_size`` from an
+    order ``rng`` shuffles each epoch.  numpy's overflow and invalid-value
+    warnings are silenced: the check is the mean loss of each epoch, and a
+    non-finite one raises NumericalDivergence.
+    """
+    curve = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            if batch_size:
+                order = list(range(n))
+                rng.shuffle(order)
+                batches = [np.array(order[i:i + batch_size])
+                           for i in range(0, n, batch_size)]
+            else:
+                batches = [slice(None)]
+            total = 0.0
+            for batch in batches:
+                loss, grads = step(batch)
+                total += loss
+                rows = n if batch_size == 0 else len(batch)
+                for name, arr in tensors.items():
+                    arr -= lr * grads[name] / rows
+            avg = total / n
+            if not np.isfinite(avg):
+                raise NumericalDivergence(f"training loss became {avg} at epoch {epoch}")
+            curve.append(avg)
+    return curve
+
+
 def train_pipeline(model: FusionPipeline, samples, epochs: int, lr: float,
                    rng: Rng, batch_size: int = 0) -> list:
     """Gradient descent over (audio, visual, label) triples; returns loss curve.
@@ -294,29 +328,12 @@ def train_pipeline(model: FusionPipeline, samples, epochs: int, lr: float,
     if not samples:
         raise EmptyDataset("no training samples")
     audio, visual, labels = stack_samples(model, samples)
-    tensors = model.tensors()
-    curve = []
-    n = len(labels)
-    for epoch in range(epochs):
-        if batch_size:
-            order = list(range(n))
-            rng.shuffle(order)
-            batches = [np.array(order[i:i + batch_size]) for i in range(0, n, batch_size)]
-        else:
-            batches = [slice(None)]
-        total = 0.0
-        for batch in batches:
-            key = rng.next_u64() if model.dropout_active else None
-            loss, grads = model.update_loss(audio[batch], visual[batch], labels[batch], key)
-            total += loss
-            rows = n if batch_size == 0 else len(batch)
-            for name, arr in tensors.items():
-                arr -= lr * grads[name] / rows
-        avg = total / n
-        if not np.isfinite(avg):
-            raise NumericalDivergence(f"training loss became {avg} at epoch {epoch}")
-        curve.append(avg)
-    return curve
+
+    def step(batch):
+        key = rng.next_u64() if model.dropout_active else None
+        return model.update_loss(audio[batch], visual[batch], labels[batch], key)
+
+    return descend(model.tensors(), len(labels), step, epochs, lr, rng, batch_size)
 
 
 def split_indices(n: int, rng: Rng, train_frac: float = 0.8):

@@ -50,7 +50,9 @@ def load_features(path) -> FeatureSet:
     if len(data) > expected:
         raise TruncatedFile(f"{len(data) - expected} trailing bytes after payload")
     values = np.frombuffer(data, dtype="<f4", count=n * d, offset=12)
-    return FeatureSet(values.astype(np.float64).reshape(n, d))
+    # checked before the cast: casting a signalling NaN warns
+    values = check_finite(values, "feature file").astype(np.float64)
+    return FeatureSet(values.reshape(n, d))
 
 
 def save_checkpoint(path, tensors: dict) -> None:

@@ -12,7 +12,7 @@ from avfusion.audio import (AudioClip, PatchEmbedParams, Spectrogram,
 from avfusion.checks import check_patch_embed
 from avfusion.errors import (ClipTooShort, CorruptHeader, DimMismatch,
                              GridTooFineForInput, MissingForwardCache,
-                             UnsupportedFormat)
+                             NonFiniteValue, UnsupportedFormat)
 from avfusion.rng import Rng
 
 SR = 16000
@@ -97,7 +97,26 @@ class TestWav:
             read_wav(path)
 
 
+class TestClip:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_raise_non_finite_value(self, bad):
+        samples = np.zeros(100)
+        samples[7] = bad
+        with pytest.raises(NonFiniteValue, match="audio samples"):
+            AudioClip(samples=samples, sample_rate=SR)
+
+
 class TestFraming:
+    def test_frames_equal_the_sliced_loop(self):
+        # oracle: the explicit slicing loop the strided view replaced
+        samples = np.clip(Rng(37).normal_vec(5000, 0.0, 0.3), -1.0, 1.0)
+        clip = AudioClip(samples=samples, sample_rate=SR)
+        win, hop = 400, 160
+        count = (len(samples) - win) // hop + 1
+        window = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(win) / win)
+        oracle = np.array([samples[i * hop:i * hop + win] for i in range(count)]) * window
+        assert np.array_equal(frame_signal(clip, 25.0, 10.0), oracle)
+
     def test_one_second_gives_97_frames(self):
         frames = frame_signal(tone())
         assert frames.shape == (97, 640)
@@ -160,6 +179,16 @@ class TestSpeechSpectrogram:
         base = speech_spectrogram(AudioClip(samples=samples, sample_rate=SR))
         shifted = speech_spectrogram(AudioClip(samples=samples[160:], sample_rate=SR))
         assert np.max(np.abs(shifted.values[:-1] - base.values[1:shifted.frames])) < 1e-9
+
+
+@pytest.mark.parametrize("rate", [44100, 48000])
+@pytest.mark.parametrize("featurize", [speech_spectrogram, log_mel_3d])
+def test_high_rate_window_longer_than_fft_raises_plain_value_error(rate, featurize):
+    # a 40 ms window is 1764 / 1920 samples, more than the 1024-point FFT
+    clip = AudioClip(samples=np.zeros(rate // 10), sample_rate=rate)
+    with pytest.raises(ValueError, match="exceeds FFT size 1024") as exc:
+        featurize(clip)
+    assert type(exc.value) is ValueError
 
 
 class TestMel:
@@ -226,6 +255,16 @@ class TestPatchEmbed:
         assert np.array_equal(fs.vectors[0], first_patch)
         last_patch = spec.values[2:4, 4:6].ravel()
         assert np.array_equal(fs.vectors[5], last_patch)
+
+    def test_patches_equal_the_tile_loop(self):
+        # oracle: row-major tiles flattened one by one, remainder cut off
+        rng = Rng(38)
+        spec = Spectrogram(values=rng.normal_mat(13, 17))
+        params = PatchEmbedParams.init(3, 4, 4, 4, 5, rng)
+        _, cache = patch_embed(spec, params)
+        oracle = np.array([spec.values[gh * 4:(gh + 1) * 4, gw * 4:(gw + 1) * 4].ravel()
+                           for gh in range(3) for gw in range(4)])
+        assert np.array_equal(cache.patches, oracle)
 
     def test_truncates_remainder_rows_and_cols(self):
         rng = Rng(34)

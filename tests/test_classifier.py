@@ -6,13 +6,28 @@ from hypothesis import strategies as st
 from avfusion.checks import check_classifier
 from avfusion.classifier import (DEFAULT_CLASS_WEIGHTS, ClassScores, ClassWeights,
                                  SoftmaxParams, apply_class_weights,
-                                 softmax_forward, train, xent_loss_grad)
-from avfusion.errors import DimMismatch, EmptyDataset
+                                 softmax_forward, xent_loss_grad, xent_rows)
+from avfusion.errors import DimMismatch
+from avfusion.experiment import descend
 from avfusion.rng import Rng
 
 
 def zero_params(classes=7, d_in=3):
     return SoftmaxParams(weight=np.zeros((classes, d_in)), bias=np.zeros(classes))
+
+
+def fit_softmax(xs, ys, params, lr, epochs, rng=None, batch_size=0):
+    """Softmax regression on the package's descent loop: (trained params, loss curve)."""
+    xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64)
+    tensors = {"weight": params.weight.copy(), "bias": params.bias.copy()}
+
+    def step(batch):
+        loss, d_w, d_b, _ = xent_rows(xs[batch], ys[batch], tensors["weight"],
+                                      tensors["bias"])
+        return loss, {"weight": d_w, "bias": d_b}
+
+    curve = descend(tensors, len(ys), step, epochs, lr, rng, batch_size)
+    return SoftmaxParams(**tensors), curve
 
 
 class TestForward:
@@ -81,15 +96,15 @@ def separable_blobs(n_per_class=40, margin=4.0, seed=11):
 class TestTrain:
     def test_separable_blobs_reach_high_accuracy(self):
         xs, ys = separable_blobs()
-        params, curve = train(xs, ys, zero_params(classes=2, d_in=2),
-                              lr=0.5, epochs=200)
+        params, curve = fit_softmax(xs, ys, zero_params(classes=2, d_in=2),
+                                    lr=0.5, epochs=200)
         preds = [int(np.argmax(softmax_forward(x, params).probs)) for x in xs]
         acc = np.mean([p == y for p, y in zip(preds, ys)])
         assert acc >= 0.99
 
     def test_loss_curve_non_increasing_on_separable_data(self):
         xs, ys = separable_blobs()
-        _, curve = train(xs, ys, zero_params(classes=2, d_in=2), lr=0.1, epochs=50)
+        _, curve = fit_softmax(xs, ys, zero_params(classes=2, d_in=2), lr=0.1, epochs=50)
         diffs = np.diff(curve)
         assert np.all(diffs <= 1e-12)
 
@@ -97,20 +112,16 @@ class TestTrain:
         xs, ys = separable_blobs(n_per_class=5)
         rng = Rng(12)
         start = SoftmaxParams.init(2, 2, rng)
-        params, _ = train(xs, ys, start, lr=0.0, epochs=5)
+        params, _ = fit_softmax(xs, ys, start, lr=0.0, epochs=5)
         assert np.array_equal(params.weight, start.weight)
         assert np.array_equal(params.bias, start.bias)
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(EmptyDataset):
-            train([], [], zero_params(), lr=0.1, epochs=1)
-
     def test_minibatch_training_is_seeded_and_converges(self):
         xs, ys = separable_blobs()
-        p1, c1 = train(xs, ys, zero_params(classes=2, d_in=2), lr=0.3, epochs=50,
-                       rng=Rng(5), batch_size=16)
-        p2, c2 = train(xs, ys, zero_params(classes=2, d_in=2), lr=0.3, epochs=50,
-                       rng=Rng(5), batch_size=16)
+        p1, c1 = fit_softmax(xs, ys, zero_params(classes=2, d_in=2), lr=0.3, epochs=50,
+                             rng=Rng(5), batch_size=16)
+        p2, c2 = fit_softmax(xs, ys, zero_params(classes=2, d_in=2), lr=0.3, epochs=50,
+                             rng=Rng(5), batch_size=16)
         assert np.array_equal(p1.weight, p2.weight)
         assert c1 == c2
         assert c1[-1] < c1[0]

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,44 @@ class TestNonFiniteAndBadNames:
         rc = main(["eval", "--checkpoint", str(bad), "--config", str(cfg_path)])
         assert rc == 1
         assert _single_error_line(capsys)
+
+
+class TestHighRateWav:
+    """A 40 ms window at 44.1/48 kHz is longer than the 1024-point FFT."""
+
+    @pytest.fixture(params=[44100, 48000])
+    def high_rate_wav(self, request, tmp_path):
+        path = tmp_path / "high.wav"
+        rate = request.param
+        t = np.arange(rate // 10) / rate
+        write_wav(path, AudioClip(samples=0.3 * np.sin(2 * np.pi * 440 * t), sample_rate=rate))
+        return path
+
+    @pytest.mark.parametrize("mel", [[], ["--mel"]], ids=["speech", "mel"])
+    def test_spectrogram(self, high_rate_wav, tmp_path, capsys, mel):
+        rc = main(["spectrogram", str(high_rate_wav), "--out", str(tmp_path / "s.avf")] + mel)
+        assert rc == 1
+        assert _single_error_line(capsys)
+
+    def test_fuse_with_wav_audio(self, high_rate_wav, cfg_path, tmp_path, capsys):
+        save_features(tmp_path / "v.avf", FeatureSet(np.ones((3, 4))))
+        rc = main(["fuse", "--config", str(cfg_path), "--audio", str(high_rate_wav),
+                   "--visual", str(tmp_path / "v.avf"), "--out", str(tmp_path / "o.avf")])
+        assert rc == 1
+        assert _single_error_line(capsys)
+
+
+class TestDivergence:
+    def test_diverging_run_prints_one_error_line_and_no_warnings(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(CFG_SMALL + "classifier.lr=1e300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == "error: training loss became nan at epoch 1\n"
 
 
 class TestSynth:

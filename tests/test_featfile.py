@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,16 @@ from avfusion.rng import Rng
 
 
 class TestFeatureFile:
+    def test_signalling_nan_rejected_without_a_cast_warning(self, tmp_path):
+        # 0x7f800001 is a float32 signalling NaN; casting it to float64 warns
+        path = tmp_path / "snan.avf"
+        path.write_bytes(b"AVF1" + struct.pack("<II", 1, 2) + struct.pack("<f", 1.0)
+                         + bytes.fromhex("0100807f"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="feature file"):
+                load_features(path)
+
     def test_round_trip_within_float32_rounding(self, tmp_path):
         rng = Rng(41)
         fs = FeatureSet(rng.normal_mat(7, 5))

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avfusion.audio import FFT_SIZE, _spectrum
 from avfusion.errors import AvfusionError, DimMismatch, NonFiniteValue
-from avfusion.numeric import (check_mat, check_vec, dft, fft_radix2, idft,
-                              matvec, sigmoid, softmax)
+from avfusion.numeric import check_mat, check_vec, sigmoid, softmax
 from avfusion.rng import Rng
 
 
@@ -38,70 +39,44 @@ def test_sigmoid_vectorized():
     assert np.allclose(out, [0.5, 0.8807970779778823, 0.11920292202211755])
 
 
+def direct_dft(x: np.ndarray, size: int) -> np.ndarray:
+    """Oracle by direct summation: X[k] = sum_t x[t] exp(-2 pi i k t / size), k <= size/2."""
+    return np.array([sum(v * cmath.exp(-2j * math.pi * k * t / size) for t, v in enumerate(x))
+                     for k in range(size // 2 + 1)])
+
+
 def test_dft_impulse_is_flat():
-    spectrum = dft(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.allclose(spectrum.real, [1, 1, 1, 1], atol=1e-12)
-    assert np.allclose(spectrum.imag, [0, 0, 0, 0], atol=1e-12)
+    frame = np.zeros((1, 4))
+    frame[0, 0] = 1.0
+    spectrum = _spectrum(frame)[0]
+    assert spectrum.shape == (FFT_SIZE // 2 + 1,)
+    assert np.allclose(spectrum.real, 1.0, atol=1e-12)
+    assert np.allclose(spectrum.imag, 0.0, atol=1e-12)
 
 
 def test_dft_constant_is_dc_only():
-    spectrum = dft(np.array([1.0, 1.0, 1.0, 1.0]))
-    assert np.allclose(spectrum.real, [4, 0, 0, 0], atol=1e-12)
-    assert np.allclose(spectrum.imag, [0, 0, 0, 0], atol=1e-12)
+    spectrum = _spectrum(np.ones((1, FFT_SIZE)))[0]
+    assert abs(spectrum[0] - FFT_SIZE) < 1e-9
+    assert np.max(np.abs(spectrum[1:])) < 1e-9
 
 
 def test_dft_parseval_by_direct_summation():
-    rng = Rng(101)
-    x = rng.normal_vec(8)
-    spectrum = dft(x)
-    # oracle: direct summation on both sides of Parseval's identity
-    lhs = sum(abs(complex(re, im)) ** 2 for re, im in zip(spectrum.real, spectrum.imag))
-    rhs = 8 * sum(v * v for v in x)
-    assert abs(lhs - rhs) < 1e-9
-
-
-def test_dft_idft_round_trip():
-    rng = Rng(102)
-    for dim in (1, 2, 5, 12):
-        x = rng.normal_vec(dim)
-        back = idft(dft(x))
-        assert np.max(np.abs(back.real - x)) < 1e-9
-        assert np.max(np.abs(back.imag)) < 1e-9
+    x = Rng(101).normal_vec(FFT_SIZE)
+    spectrum = _spectrum(x[None])[0]
+    # oracle: direct summation on both sides of Parseval's identity; the
+    # real transform stores bins 1..N/2-1 once for their mirror images too
+    power = [abs(complex(v)) ** 2 for v in spectrum]
+    lhs = power[0] + power[-1] + 2 * sum(power[1:-1])
+    rhs = FFT_SIZE * sum(v * v for v in x)
+    assert abs(lhs - rhs) < 1e-9 * rhs
 
 
 def test_fft_agrees_with_direct_dft():
+    # frames shorter than FFT_SIZE are zero-padded, not stretched
     rng = Rng(103)
-    for size in (1, 2, 8, 64, 256):
+    for size in (1, 2, 40, 160):
         x = rng.normal_vec(size)
-        assert np.max(np.abs(fft_radix2(x) - dft(x))) < 1e-9
-
-
-def test_fft_agrees_with_numpy_batched():
-    rng = Rng(104)
-    x = rng.normal_mat(5, 32)
-    assert np.max(np.abs(fft_radix2(x) - np.fft.fft(x, axis=-1))) < 1e-9
-
-
-def test_fft_rejects_non_power_of_two():
-    with pytest.raises(DimMismatch):
-        fft_radix2(np.ones(12))
-
-
-def test_matvec_matches_triple_loop_oracle():
-    rng = Rng(105)
-    m = rng.normal_mat(16, 16)
-    v = rng.normal_vec(16)
-    got = matvec(m, v)
-    expected = np.zeros(16)
-    for i in range(16):
-        for j in range(16):
-            expected[i] += m[i, j] * v[j]
-    assert np.max(np.abs(got - expected)) < 1e-12
-
-
-def test_matvec_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        matvec(np.ones((3, 4)), np.ones(3))
+        assert np.max(np.abs(_spectrum(x[None])[0] - direct_dft(x, FFT_SIZE))) < 1e-9
 
 
 def test_softmax_normalizes_and_survives_huge_logits():

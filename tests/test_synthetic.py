@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from avfusion.classifier import SoftmaxParams, softmax_forward, train
+from avfusion.classifier import SoftmaxParams, softmax_forward
 from avfusion.config import ExperimentConfig
 from avfusion.errors import InvalidConfig
 from avfusion.rng import Rng
 from avfusion.synthetic import enhanced_dim, gen_synthetic
+from test_classifier import fit_softmax
 
 
 def clustered_cfg(**overrides):
@@ -79,7 +80,7 @@ class TestInteraction:
             xs = [np.mean(sample[modality].vectors, axis=0) for sample in ds.samples]
             ys = [sample[2] for sample in ds.samples]
             params = SoftmaxParams(weight=np.zeros((2, 6)), bias=np.zeros(2))
-            trained, _ = train(xs, ys, params, lr=0.5, epochs=60)
+            trained, _ = fit_softmax(xs, ys, params, lr=0.5, epochs=60)
             preds = [int(np.argmax(softmax_forward(x, trained).probs)) for x in xs]
             acc = float(np.mean([p == y for p, y in zip(preds, ys)]))
             assert 0.45 <= acc <= 0.55
