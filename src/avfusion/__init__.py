@@ -15,7 +15,7 @@ from .enhance import (TtaTransform, enumerate_tta, f_ar_mean, f_mean,
                       f_meanstd, f_normfft)
 from .errors import AvfusionError
 from .experiment import FusionPipeline, Metrics, run_experiment
-from .fbp import FBPParams, FusedVec, concat_fuse, fbp_expand, fbp_fuse
+from .fbp import FBPParams, FusedVec, fbp_expand, fbp_fuse
 from .features import FeatureBag, FeatureSet
 from .featfile import load_checkpoint, load_features, save_checkpoint, save_features
 from .gradcheck import grad_check

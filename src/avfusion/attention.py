@@ -214,13 +214,18 @@ def transformer_pool_backward(cache: TransformerAttnCache, d_pooled: np.ndarray,
     return d_w2, d_b, d_u, d_feats
 
 
-# kind -> (pool, pool_backward): pool takes (B, n, d) features and then the
+# kind -> (init, pool, pool_backward, out_dim): init(d, hidden, rng) draws the
+# ordered parameter dict; pool takes (B, n, d) features and then the
 # parameters in order; pool_backward returns their gradients in the same
-# order, then d_features or None
+# order, then d_features or None; out_dim(d) is the pooled width
 POOLS = {
-    "self": (self_pool, self_pool_backward),
-    "relation": (relation_pool, relation_pool_backward),
-    "transformer": (transformer_pool, transformer_pool_backward),
+    "self": (lambda d, hidden, rng: vars(SelfAttnParams.init(d, rng)),
+             self_pool, self_pool_backward, lambda d: d),
+    "relation": (lambda d, hidden, rng: {**vars(SelfAttnParams.init(d, rng)),
+                                         **vars(RelationAttnParams.init(d, rng))},
+                 relation_pool, relation_pool_backward, lambda d: 2 * d),
+    "transformer": (lambda d, hidden, rng: vars(TransformerAttnParams.init(d, hidden, rng)),
+                    transformer_pool, transformer_pool_backward, lambda d: d),
 }
 
 

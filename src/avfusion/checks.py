@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 
 from . import attention, audio, fbp
-from .classifier import SoftmaxParams, xent_loss_grad
+from .classifier import xent_rows
 from .config import ExperimentConfig
 from .experiment import FusionPipeline
 from .features import FeatureSet
@@ -41,7 +41,7 @@ def check_attention(kind: str, seed: int) -> float:
         params = {"w0": rng.uniform_vec(d, -0.5, 0.5)}
         if kind == "relation":
             params["w1"] = rng.uniform_vec(2 * d, -0.5, 0.5)
-    pool, pool_backward = attention.POOLS[kind]
+    _, pool, pool_backward, _ = attention.POOLS[kind]
 
     def loss(ps):
         pooled, cache = pool(feats, *ps.values())
@@ -67,14 +67,14 @@ def check_fbp(seed: int, with_dropout: bool | None = None) -> float:
               "v_tilde": rng.uniform_mat(n, k * o, -0.5, 0.5)}
     mask = (np.array([rng.uniform() >= dropout_p for _ in range(k * o)], dtype=np.float64)
             if with_dropout else None)
+    mask_scale = mask[None] / (1 - dropout_p) if with_dropout else None
 
     def loss(ps):
         fp = fbp.FBPParams(u_tilde=ps["u_tilde"], v_tilde=ps["v_tilde"],
                            k=k, o=o, dropout_p=dropout_p)
-        res = fbp.fbp_fuse(a, v, fp, mode="train" if with_dropout else "eval",
-                           dropout_mask=mask)
-        d_u, d_v, _, _ = fbp.fbp_backward(res.cache, upstream)
-        return float(res.fused.values @ upstream), {"u_tilde": d_u, "v_tilde": d_v}
+        out, cache = fbp.fbp_rows(a[None], v[None], fp, mask_scale)
+        d_u, d_v, _, _ = fbp.fbp_rows_backward(cache, upstream[None])
+        return float(out[0] @ upstream), {"u_tilde": d_u, "v_tilde": d_v}
 
     return grad_check(loss, params)
 
@@ -88,8 +88,7 @@ def check_classifier(seed: int) -> float:
               "bias": rng.normal_vec(classes, 0.0, 0.3)}
 
     def loss(ps):
-        p = SoftmaxParams(weight=ps["weight"], bias=ps["bias"])
-        value, d_w, d_b, _ = xent_loss_grad(x, label, p)
+        value, d_w, d_b, _ = xent_rows(x[None], np.array([label]), ps["weight"], ps["bias"])
         return value, {"weight": d_w, "bias": d_b}
 
     return grad_check(loss, params)
@@ -128,12 +127,12 @@ def check_pipeline(seed: int, cross_mode: str = "fbp",
     model = FusionPipeline(cfg, rng)
     audio_fs = FeatureSet(rng.normal_mat(cfg.audio_frames, cfg.audio_dim))
     visual_fs = FeatureSet(rng.normal_mat(cfg.visual_frames, cfg.visual_dim))
-    label = rng.randint(cfg.classes)
+    rows = model.stack([audio_fs], [visual_fs], [rng.randint(cfg.classes)])
     tensors = model.tensors()
 
     def loss(ps):
         model.set_tensors(ps)
-        return model.sample_loss(audio_fs, visual_fs, label)
+        return model.batch_loss(*rows)
 
     return grad_check(loss, {k: v.copy() for k, v in tensors.items()})
 

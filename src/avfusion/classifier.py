@@ -1,9 +1,9 @@
 """Softmax classifier, hand-derived cross-entropy gradients, class re-weighting.
 
 ``class_probs`` and ``xent_rows`` work on stacked (B, d_in) rows;
-``softmax_forward`` and ``xent_loss_grad`` are their validated single-sample
-case.  Training is ``experiment.descend``, the package's one gradient-descent
-loop.  Predicted scores can be re-weighted by per-class positive factors
+``softmax_forward`` is the validated single-sample case of ``class_probs``.
+Training is ``experiment.descend``, the package's one gradient-descent loop.
+Predicted scores can be re-weighted by per-class positive factors
 before the argmax; the default weight vector used by the experiment configs
 reflects square-root class frequencies of an emotion corpus.
 """
@@ -77,30 +77,12 @@ def xent_rows(x: np.ndarray, labels: np.ndarray, weight: np.ndarray, bias: np.nd
     return loss, d_logits.T @ x, d_logits.sum(axis=0), d_logits @ weight
 
 
-def _check_input(x, params: SoftmaxParams) -> np.ndarray:
+def softmax_forward(x: np.ndarray, params: SoftmaxParams) -> ClassScores:
     x = check_vec(x, "classifier input")
     w = check_mat(params.weight, "classifier weight")
     if w.shape[1] != x.shape[0]:
         raise DimMismatch(f"input dim {x.shape[0]} != weight cols {w.shape[1]}")
-    return x
-
-
-def softmax_forward(x: np.ndarray, params: SoftmaxParams) -> ClassScores:
-    x = _check_input(x, params)
     return ClassScores(probs=class_probs(x[None], params.weight, params.bias)[0])
-
-
-def xent_loss_grad(x: np.ndarray, label: int, params: SoftmaxParams):
-    """Single-sample cross-entropy loss and hand-derived gradients.
-
-    Returns (loss, d_weight, d_bias, d_x); d_logits = probs - onehot(label).
-    """
-    x = _check_input(x, params)
-    if not 0 <= label < params.classes:
-        raise DimMismatch(f"label {label} outside 0..{params.classes - 1}")
-    loss, d_weight, d_bias, d_x = xent_rows(x[None], np.array([label]),
-                                            params.weight, params.bias)
-    return loss, d_weight, d_bias, d_x[0]
 
 
 def apply_class_weights(scores: ClassScores, weights: ClassWeights):

@@ -8,6 +8,7 @@ input.  The env var AVF_SEED overrides the config seed.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,9 +16,8 @@ from .audio import PatchEmbedParams, patch_embed, read_wav, speech_spectrogram, 
 from .checks import GRAD_TOL, MODULES, run_module_checks
 from .config import load_config
 from .errors import AvfusionError
-from .experiment import (FusionPipeline, IntraStage, evaluate_pipeline,
-                         experiment_rngs, prepare_dataset, run_experiment)
-from .fbp import FBPParams, concat_fuse, fbp_fuse
+from .experiment import (FusionPipeline, evaluate_pipeline, experiment_rngs,
+                         prepare_dataset, run_experiment)
 from .featfile import load_checkpoint, load_features, save_features
 from .features import FeatureSet
 
@@ -55,16 +55,11 @@ def _cmd_fuse(args) -> int:
     rng = experiment_rngs(cfg.seed)["init"]
     audio_fs = _load_modality(args.audio, cfg, rng)
     visual_fs = _load_modality(args.visual, cfg, rng)
-    audio_stage = IntraStage(cfg.audio_fusion, audio_fs.dim, cfg.attn_hidden, rng)
-    visual_stage = IntraStage(cfg.visual_fusion, visual_fs.dim, cfg.attn_hidden, rng)
-    a_vec, _ = audio_stage.forward(audio_fs)
-    v_vec, _ = visual_stage.forward(visual_fs)
-    if cfg.cross_mode == "fbp":
-        params = FBPParams.init(audio_stage.out_dim, visual_stage.out_dim,
-                                cfg.fbp_k, cfg.fbp_o, cfg.fbp_dropout, rng)
-        fused = fbp_fuse(a_vec, v_vec, params, mode="eval").fused.values
-    else:
-        fused = concat_fuse(a_vec, v_vec).values
+    # stages sized to the inputs; the classifier is drawn last and not used
+    model = FusionPipeline(replace(cfg, audio_dim=audio_fs.dim, visual_dim=visual_fs.dim,
+                                   enhance_mode="none"), rng)
+    audio, visual, _ = model.stack([audio_fs], [visual_fs])
+    fused = model.fuse_rows(audio, visual)[0][0]
     save_features(args.out, FeatureSet(fused.reshape(1, -1)))
     print(f"wrote fused vector of dim {fused.shape[0]} to {args.out}")
     return 0

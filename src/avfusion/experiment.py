@@ -64,21 +64,11 @@ class IntraStage:
             raise ValueError(f"unknown intra fusion kind {kind!r}")
         self.kind = kind
         self.in_dim = in_dim
-        self._pool, self._backward = attention.POOLS[kind]
+        init, self._pool, self._backward, out_dim = attention.POOLS[kind]
+        self.params = init(in_dim, hidden, rng)
+        self.out_dim = out_dim(in_dim)
         # floats per feature in the widest (B, n, .) intermediate
-        self.frame_floats = in_dim
-        if kind == "self":
-            self.params = {"w0": attention.SelfAttnParams.init(in_dim, rng).w0}
-            self.out_dim = in_dim
-        elif kind == "relation":
-            self.params = {"w0": attention.SelfAttnParams.init(in_dim, rng).w0,
-                           "w1": attention.RelationAttnParams.init(in_dim, rng).w1}
-            self.out_dim = 2 * in_dim
-        else:
-            p = attention.TransformerAttnParams.init(in_dim, hidden, rng)
-            self.params = {"w2": p.w2, "b": p.b, "u": p.u}
-            self.out_dim = in_dim
-            self.frame_floats = max(in_dim, hidden)
+        self.frame_floats = max(in_dim, hidden) if kind == "transformer" else in_dim
 
     def pool(self, feats: np.ndarray):
         """(B, n, in_dim) stacked feature sets -> ((B, out_dim) pooled rows, cache)."""
@@ -111,9 +101,10 @@ def _stack_sets(sets, dim: int, name: str) -> np.ndarray:
 class FusionPipeline:
     """Attention pooling per modality -> cross-modal fusion -> softmax.
 
-    The arithmetic runs on stacked batches: ``batch_loss`` and
-    ``predict_rows`` take (B, n, d) audio and visual arrays.  ``sample_loss``
-    and ``predict`` are the validated B=1 case.
+    The arithmetic runs on stacked batches: ``fuse_rows``, ``batch_loss``
+    and ``predict_rows`` take (B, n, d) audio and visual arrays, which
+    ``stack`` validates.  Training, scoring, the CLI's ``fuse`` and the
+    gradient checks all run this one forward.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng: Rng):
@@ -189,7 +180,8 @@ class FusionPipeline:
         return self.fbp_params is not None and self.fbp_params.dropout_p > 0.0
 
     # --- forward / backward on stacked rows ---------------------------------
-    def _fuse_rows(self, audio, visual, mask_scale=None):
+    def fuse_rows(self, audio, visual, mask_scale=None):
+        """(B, fused) rows and the stage caches; no dropout when ``mask_scale`` is None."""
         a_vec, a_cache = self.audio.pool(audio)
         v_vec, v_cache = self.visual.pool(visual)
         if self.fbp_params is not None:
@@ -204,7 +196,7 @@ class FusionPipeline:
         ``mask_scale`` is the (B, k*o) rescaled FBP dropout mask, None for
         no dropout.
         """
-        fused, (a_cache, v_cache, f_cache) = self._fuse_rows(audio, visual, mask_scale)
+        fused, (a_cache, v_cache, f_cache) = self.fuse_rows(audio, visual, mask_scale)
         loss, d_weight, d_bias, d_fused = xent_rows(fused, labels, self.clf.weight,
                                                     self.clf.bias)
         grads = {"clf.weight": d_weight, "clf.bias": d_bias}
@@ -252,28 +244,10 @@ class FusionPipeline:
         preds = []
         with np.errstate(over="ignore", invalid="ignore"):
             for r0 in range(0, len(audio), step):
-                fused, _ = self._fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step])
+                fused, _ = self.fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step])
                 scores = ClassScores(class_probs(fused, self.clf.weight, self.clf.bias))
                 preds.append(apply_class_weights(scores, self.class_weights)[1])
         return np.concatenate(preds)
-
-    # --- validated per-sample API (B = 1) -----------------------------------
-    def sample_loss(self, audio_fs, visual_fs, label, train: bool = False,
-                    rng: Rng | None = None, dropout_mask=None):
-        """Loss and hand-chained gradients for one sample.
-
-        In training with FBP dropout the mask is ``dropout_mask`` (0/1,
-        frozen) or row 0 under one key drawn from ``rng``.
-        """
-        audio, visual, labels = self.stack([audio_fs], [visual_fs], [label])
-        mask = None
-        if train and self.dropout_active:
-            mask = fbp.sample_mask_scale(self.fbp_params, rng, dropout_mask)
-        return self.batch_loss(audio, visual, labels, mask)
-
-    def predict(self, audio_fs, visual_fs) -> int:
-        audio, visual, _ = self.stack([audio_fs], [visual_fs])
-        return int(self.predict_rows(audio, visual)[0])
 
 
 def stack_samples(model: FusionPipeline, samples):

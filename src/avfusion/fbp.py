@@ -1,4 +1,4 @@
-"""Cross-modal fusion: factorized bilinear pooling and plain concatenation.
+"""Cross-modal fusion by factorized bilinear pooling.
 
 FBP fuses an audio vector a (dim m) and a visual vector v (dim n) through two
 linear projections followed by an element-wise product, dropout, sum pooling
@@ -9,7 +9,9 @@ over non-overlapping windows of width k, and l2 normalization:
     out = z / ||z||                  # zero vector passes through unchanged
 
 ``fbp_rows`` and ``fbp_rows_backward`` are the implementation, on rows of a
-batch; ``fbp_fuse``/``fbp_backward`` are the validated per-sample API.
+batch; ``fbp_fuse`` is the validated eval-mode forward of one pair.
+Concatenation, the other cross-modal fusion, is one line of
+``FusionPipeline.fuse_rows``.
 
 Each output entry is implicitly a bilinear form a' W_i v with
 W_i = sum_j u_col[(i-1)k+j] v_col[(i-1)k+j]'; ``fbp_expand`` materializes
@@ -22,9 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, MissingForwardCache
+from .errors import DimMismatch
 from .numeric import check_vec
 from .rng import Rng, counter_uniform
+
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -90,26 +94,6 @@ def dropout_scale(key: int, first_row: int, stop_row: int, params: FBPParams) ->
     return np.where(u >= params.dropout_p, 1.0 / (1.0 - params.dropout_p), 0.0)
 
 
-def sample_mask_scale(params: FBPParams, rng: Rng | None,
-                      dropout_mask=None) -> np.ndarray | None:
-    """Rescaled dropout mask of one training sample, as a (1, k*o) row.
-
-    The caller's frozen 0/1 ``dropout_mask`` if given, else row 0 under one
-    ``rng.next_u64()`` key; None when p = 0.
-    """
-    if params.dropout_p == 0.0:
-        return None
-    if dropout_mask is None:
-        if rng is None:
-            raise ValueError("train mode with dropout needs an rng or a frozen mask")
-        return dropout_scale(rng.next_u64(), 0, 1, params)
-    ko = params.k * params.o
-    mask = np.asarray(dropout_mask, dtype=np.float64)
-    if mask.shape != (ko,):
-        raise DimMismatch(f"dropout mask must have shape ({ko},), got {mask.shape}")
-    return mask[None] / (1.0 - params.dropout_p)
-
-
 def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
              mask_scale: np.ndarray | None = None, normalize: bool = True):
     """Batched FBP: rows a (B, m) and v (B, n) -> ((B, o) fused rows, cache)."""
@@ -120,7 +104,17 @@ def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
         h *= mask_scale
     z = h.reshape(-1, params.o, params.k).sum(axis=2)
     if normalize:
-        z_norm = np.sqrt((z * z).sum(axis=1, keepdims=True))
+        # a sum of squares that overflows, or underflows on a nonzero row,
+        # is recomputed scaled by the row's largest entry
+        with np.errstate(over="ignore"):
+            sq = (z * z).sum(axis=1, keepdims=True)
+        z_norm = np.sqrt(sq)
+        if not _TINY <= sq.min() <= sq.max() < np.inf:
+            extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
+            rows = z[extreme]
+            peak = np.abs(rows).max(axis=1, keepdims=True)
+            peak[peak == 0.0] = 1.0  # a zero row keeps norm 0
+            z_norm[extreme] = peak * np.sqrt(((rows / peak) ** 2).sum(axis=1, keepdims=True))
         # |z|, or 1 where z = 0 so that a zero vector passes through unchanged
         denom = z_norm + (z_norm == 0.0)
         out = z / denom
@@ -153,39 +147,22 @@ def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
 
 
 def fbp_fuse(a: np.ndarray, v: np.ndarray, params: FBPParams, mode: str = "eval",
-             rng: Rng | None = None, normalize: bool = True,
-             dropout_mask: np.ndarray | None = None) -> FBPResult:
-    """Fuse two modality vectors (the validated B=1 case of ``fbp_rows``).
+             normalize: bool = True) -> FBPResult:
+    """Fuse two modality vectors without dropout: the validated B=1 case of ``fbp_rows``.
 
-    ``mode`` is "train" (dropout active) or "eval".  In train mode the
-    dropout mask comes from ``sample_mask_scale``: drawn from ``rng`` unless
-    an explicit 0/1 ``dropout_mask`` is supplied (gradient checks freeze the
-    mask this way).  Survivors are rescaled by 1/(1-p) so the expectation is
-    unchanged.
+    ``mode`` must be "eval"; training runs on ``fbp_rows`` with a
+    ``dropout_scale`` mask.
     """
     a = check_vec(a, "audio vector")
     v = check_vec(v, "visual vector")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode != "eval":
+        raise ValueError(f"mode must be 'eval', got {mode!r}")
     if a.shape[0] != params.u_tilde.shape[0]:
         raise DimMismatch(f"audio dim {a.shape[0]} != u_tilde rows {params.u_tilde.shape[0]}")
     if v.shape[0] != params.v_tilde.shape[0]:
         raise DimMismatch(f"visual dim {v.shape[0]} != v_tilde rows {params.v_tilde.shape[0]}")
-    mask_scale = sample_mask_scale(params, rng, dropout_mask) if mode == "train" else None
-    out, cache = fbp_rows(a[None], v[None], params, mask_scale, normalize)
+    out, cache = fbp_rows(a[None], v[None], params, normalize=normalize)
     return FBPResult(fused=FusedVec(values=out[0], norm_applied=normalize), cache=cache)
-
-
-def fbp_backward(cache: FBPCache, upstream: np.ndarray):
-    """Returns (d_u_tilde, d_v_tilde, d_a, d_v) for a frozen B=1 forward pass."""
-    if cache is None:
-        raise MissingForwardCache("fbp_backward needs the forward cache")
-    params = cache.params
-    g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != (params.o,):
-        raise DimMismatch(f"upstream must have shape ({params.o},), got {g.shape}")
-    d_u, d_v_tilde, d_a, d_v = fbp_rows_backward(cache, g[None])
-    return d_u, d_v_tilde, d_a[0], d_v[0]
 
 
 def fbp_expand(params: FBPParams) -> list[np.ndarray]:
@@ -200,9 +177,3 @@ def fbp_expand(params: FBPParams) -> list[np.ndarray]:
         mats.append(params.u_tilde[:, cols] @ params.v_tilde[:, cols].T)
     return mats
 
-
-def concat_fuse(a: np.ndarray, v: np.ndarray) -> FusedVec:
-    """Plain concatenation [a : v]; no normalization."""
-    a = check_vec(a, "audio vector")
-    v = check_vec(v, "visual vector")
-    return FusedVec(values=np.concatenate([a, v]), norm_applied=False)

@@ -34,8 +34,7 @@ def _rows_of_update(overrides, count=9):
     cfg = small_cfg(**overrides)
     dataset, _, _, rngs = prepare_dataset(cfg)
     model = FusionPipeline(cfg, rngs["init"])
-    samples = dataset.samples[:count]
-    return model, samples, stack_samples(model, samples)
+    return model, stack_samples(model, dataset.samples[:count])
 
 
 def _max_rel(a, b) -> float:
@@ -46,18 +45,18 @@ def _max_rel(a, b) -> float:
 @pytest.mark.parametrize("block_floats", [experiment.BLOCK_FLOATS, 40])
 def test_batched_update_equals_sum_of_single_samples(overrides, block_floats, monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_FLOATS", block_floats)
-    model, samples, (audio, visual, labels) = _rows_of_update(overrides)
+    model, (audio, visual, labels) = _rows_of_update(overrides)
     key = KEY if model.dropout_active else None
     if block_floats == 40:
-        assert model.block_rows(audio, visual) < len(samples)  # several blocks
+        assert model.block_rows(audio, visual) < len(labels)  # several blocks
     loss, grads = model.update_loss(audio, visual, labels, key)
 
-    masks = (fbp.dropout_scale(KEY, 0, len(samples), model.fbp_params) > 0.0
-             if key is not None else [None] * len(samples))
+    mask = None if key is None else fbp.dropout_scale(KEY, 0, len(labels), model.fbp_params)
     ref_loss, ref = 0.0, None
-    for (audio_fs, visual_fs, label), mask in zip(samples, masks):
-        one_loss, one = model.sample_loss(audio_fs, visual_fs, label, train=True,
-                                          dropout_mask=mask)
+    for r in range(len(labels)):
+        rows = slice(r, r + 1)
+        one_loss, one = model.batch_loss(audio[rows], visual[rows], labels[rows],
+                                         None if mask is None else mask[rows])
         ref_loss += one_loss
         ref = one if ref is None else {k: ref[k] + one[k] for k in ref}
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -68,9 +67,10 @@ def test_batched_update_equals_sum_of_single_samples(overrides, block_floats, mo
 
 @pytest.mark.parametrize("overrides", CONFIGS)
 def test_batched_predictions_equal_single_sample_predictions(overrides):
-    model, samples, (audio, visual, _) = _rows_of_update(overrides, count=21)
+    model, (audio, visual, _) = _rows_of_update(overrides, count=21)
     batched = model.predict_rows(audio, visual)
-    assert batched.tolist() == [model.predict(a, v) for a, v, _ in samples]
+    assert batched.tolist() == [model.predict_rows(audio[r:r + 1], visual[r:r + 1])[0]
+                                for r in range(len(audio))]
 
 
 def test_counter_stream_is_splitmix64_under_the_key():
@@ -145,7 +145,7 @@ def test_labels_outside_the_classes_raise_dim_mismatch(label):
 
 @pytest.mark.parametrize("kind", ["self", "relation", "transformer"])
 def test_pipeline_gradients_with_frozen_dropout_mask_at_b3(kind):
-    model, _, (audio, visual, labels) = _rows_of_update(
+    model, (audio, visual, labels) = _rows_of_update(
         dict(audio_fusion=kind, visual_fusion="transformer", classes=3, samples=3), count=3)
     assert model.fbp_params.dropout_p == 0.3
     mask = fbp.dropout_scale(KEY, 0, 3, model.fbp_params)

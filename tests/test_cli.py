@@ -94,6 +94,46 @@ class TestFuse:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestFuseConcat:
+    """``fuse`` with cross.mode=concat: a single feature pools to itself exactly."""
+
+    def _fuse(self, tmp_path, audio_fusion, visual_fusion, a, v):
+        cfg = tmp_path / "concat.cfg"
+        cfg.write_text(f"cross.mode=concat\naudio.fusion={audio_fusion}\n"
+                       f"visual.fusion={visual_fusion}\n")
+        save_features(tmp_path / "a.avf", FeatureSet(a))
+        save_features(tmp_path / "v.avf", FeatureSet(v))
+        out = tmp_path / "fused.avf"
+        rc = main(["fuse", "--config", str(cfg), "--audio", str(tmp_path / "a.avf"),
+                   "--visual", str(tmp_path / "v.avf"), "--out", str(out)])
+        assert rc == 0
+        return out.read_bytes()[12:]  # float32 payload after magic, n and dim
+
+    @pytest.mark.parametrize("fusion", ["self", "transformer"])
+    def test_basic(self, fusion, tmp_path):
+        rng = Rng(74)
+        a, v = rng.normal_mat(1, 3), rng.normal_mat(1, 5)
+        got = self._fuse(tmp_path, fusion, fusion, a, v)
+        # [a : v] in order, not normalized
+        assert got == np.concatenate([a, v], axis=1).astype("<f4").tobytes()
+
+    def test_relation_audio_repeats_its_global_vector(self, tmp_path):
+        rng = Rng(75)
+        a, v = rng.normal_mat(1, 3), rng.normal_mat(1, 5)
+        got = self._fuse(tmp_path, "relation", "self", a, v)
+        assert got == np.concatenate([a, a, v], axis=1).astype("<f4").tobytes()
+
+    def test_empty_modality_rejected(self, tmp_path, capsys):
+        save_features(tmp_path / "v.avf", FeatureSet(np.ones((1, 2))))
+        (tmp_path / "a.avf").write_bytes(b"AVF1" + struct.pack("<II", 0, 3))
+        (tmp_path / "concat.cfg").write_text("cross.mode=concat\n")
+        rc = main(["fuse", "--config", str(tmp_path / "concat.cfg"),
+                   "--audio", str(tmp_path / "a.avf"), "--visual", str(tmp_path / "v.avf"),
+                   "--out", str(tmp_path / "o.avf")])
+        assert rc == 1
+        assert _single_error_line(capsys)
+
+
 class TestTrainEval:
     def test_train_then_eval_round_trip(self, cfg_path, tmp_path, capsys):
         out_dir = tmp_path / "run"

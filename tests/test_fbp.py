@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from avfusion.checks import check_fbp
-from avfusion.errors import DimMismatch, MissingForwardCache
-from avfusion.fbp import FBPParams, concat_fuse, fbp_backward, fbp_expand, fbp_fuse
+from avfusion.errors import DimMismatch
+from avfusion.fbp import (FBPParams, dropout_scale, fbp_expand, fbp_fuse, fbp_rows,
+                          fbp_rows_backward)
 from avfusion.rng import Rng
 
 
@@ -38,7 +39,8 @@ class TestFuse:
         with pytest.raises(ValueError):
             fbp_fuse(np.ones(1), np.ones(1), scalar_params(), mode="predict")
 
-    def test_train_mode_needs_rng_or_mask(self):
+    def test_train_mode_rejected(self):
+        # training runs on fbp_rows with a dropout_scale mask
         with pytest.raises(ValueError):
             fbp_fuse(np.ones(1), np.ones(1), scalar_params(0.5), mode="train")
 
@@ -64,9 +66,12 @@ class TestFuse:
         e1 = fbp_fuse(a, v, params, mode="eval").fused.values
         e2 = fbp_fuse(a, v, params, mode="eval").fused.values
         assert np.array_equal(e1, e2)
-        t1 = fbp_fuse(a, v, params, mode="train", rng=Rng(99)).fused.values
-        t2 = fbp_fuse(a, v, params, mode="train", rng=Rng(99)).fused.values
-        assert np.array_equal(t1, t2)
+
+        def train_row():
+            return fbp_rows(a[None], v[None], params,
+                            dropout_scale(Rng(99).next_u64(), 0, 1, params))[0]
+
+        assert np.array_equal(train_row(), train_row())
 
 
 class TestExpand:
@@ -103,12 +108,10 @@ class TestDropout:
                            k=1, o=4, dropout_p=p)
         rng = Rng(26)
         trials = 10_000
-        acc = np.zeros(4)
-        for _ in range(trials):
-            res = fbp_fuse(np.array([1.0]), np.array([1.0]), params,
-                           mode="train", rng=rng, normalize=False)
-            acc += res.fused.values
-        mean = acc / trials
+        # one key per trial, row 0 of each
+        mask = np.vstack([dropout_scale(rng.next_u64(), 0, 1, params) for _ in range(trials)])
+        ones = np.ones((trials, 1))
+        mean = fbp_rows(ones, ones, params, mask, normalize=False)[0].mean(axis=0)
         sigma = np.abs(h) * np.sqrt(p / (1.0 - p)) / np.sqrt(trials)
         assert np.all(np.abs(mean - h) <= 3.0 * sigma + 1e-12)
 
@@ -117,9 +120,9 @@ class TestDropout:
         m, n, k, o = 3, 3, 1, 4
         params = FBPParams.init(m, n, k, o, 0.5, rng)
         mask = np.array([1.0, 0.0, 1.0, 1.0])
-        res = fbp_fuse(rng.normal_vec(m), rng.normal_vec(n), params,
-                       mode="train", dropout_mask=mask)
-        d_u, d_v, _, _ = fbp_backward(res.cache, rng.normal_vec(o))
+        _, cache = fbp_rows(rng.normal_vec(m)[None], rng.normal_vec(n)[None], params,
+                            mask[None] / (1 - params.dropout_p))
+        d_u, d_v, _, _ = fbp_rows_backward(cache, rng.normal_vec(o)[None])
         assert np.all(d_u[:, 1] == 0.0)
         assert np.all(d_v[:, 1] == 0.0)
 
@@ -137,28 +140,31 @@ class TestBackward:
         rng = Rng(28)
         params = FBPParams.init(3, 4, 2, 2, 0.0, rng)
         res = fbp_fuse(rng.normal_vec(3), rng.normal_vec(4), params)
-        for g in fbp_backward(res.cache, np.zeros(2)):
+        for g in fbp_rows_backward(res.cache, np.zeros((1, 2))):
             assert np.all(g == 0.0)
 
-    def test_missing_cache(self):
-        with pytest.raises(MissingForwardCache):
-            fbp_backward(None, np.zeros(2))
 
+class TestExtremeScales:
+    """A sum of squares that overflows or underflows still normalizes each row."""
 
-class TestConcat:
-    def test_basic(self):
-        fused = concat_fuse(np.array([1.0, 2.0]), np.array([3.0]))
-        assert np.array_equal(fused.values, [1.0, 2.0, 3.0])
-        assert not fused.norm_applied
+    @pytest.mark.parametrize("scale", [1e80, 1e-80, 1e-85, 1e150])
+    def test_scaled_projections_give_the_unscaled_rows_and_gradients(self, scale):
+        rng = Rng(30)
+        params = FBPParams.init(4, 5, 2, 3, 0.0, rng)
+        a, v, g = rng.normal_mat(6, 4), rng.normal_mat(6, 5), rng.normal_mat(6, 3)
+        scaled = FBPParams(u_tilde=scale * params.u_tilde, v_tilde=scale * params.v_tilde,
+                           k=2, o=3, dropout_p=0.0)
+        base, base_cache = fbp_rows(a, v, params)
+        out, cache = fbp_rows(a, v, scaled)
+        assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= 1e-12)
+        assert np.max(np.abs(out - base)) <= 1e-15
+        # out(s u, s v) = out(u, v), so d out / d(s u) = (d out / d u) / s
+        grads, base_grads = fbp_rows_backward(cache, g), fbp_rows_backward(base_cache, g)
+        for got, want in zip(grads[:2], base_grads[:2]):
+            assert np.max(np.abs(got * scale - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_empty_modality_rejected(self):
-        with pytest.raises(DimMismatch):
-            concat_fuse(np.array([]), np.array([1.0]))
-
-    def test_pythagorean_identity(self):
-        rng = Rng(29)
-        a, v = rng.normal_vec(5), rng.normal_vec(7)
-        fused = concat_fuse(a, v)
-        lhs = np.sum(fused.values ** 2)
-        rhs = np.sum(a ** 2) + np.sum(v ** 2)
-        assert abs(lhs - rhs) < 1e-12
+    def test_zero_row_among_extreme_rows_passes_through(self):
+        params = scalar_params()
+        out, _ = fbp_rows(np.array([[0.0], [1e-85], [1e200]]), np.array([[3.0], [1e-85], [1e100]]),
+                          params)
+        assert out.tolist() == [[0.0], [1.0], [1.0]]
