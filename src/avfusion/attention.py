@@ -13,7 +13,8 @@ Three mechanisms collapse a FeatureSet {f_1..f_n} into one vector:
   with max-subtraction so a uniform rescale of g can never overflow
 
 Normalized weights are formed before pooling, so a single feature pools to
-itself exactly (w_1 = a_1/a_1 = 1.0 in floating point too).  All three are
+itself exactly (w_1 = a_1/a_1 = 1.0 in floating point too); a set whose
+gates all underflow to 0 takes them from its max-shifted log gates.  All three are
 set functions: permuting the inputs permutes the returned weights and leaves
 the pooled vector unchanged.
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DimMismatch, MissingForwardCache
 from .features import FeatureSet
-from .numeric import check_mat, check_vec, sigmoid
+from .numeric import check_mat, check_vec, sigmoid, softmax
 from .rng import Rng
 
 
@@ -79,6 +80,22 @@ def _row_dot(feats: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (feats @ g[:, :, None])[:, :, 0]
 
 
+def _log_sigmoid(x: np.ndarray) -> np.ndarray:
+    """log(sigmoid(x)), finite for every finite x."""
+    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+def _saturated_weights(gates: np.ndarray, total: np.ndarray, log_gates: np.ndarray):
+    """(weights, sums, saturated) for (B, n) gates some of whose rows sum to
+    exactly 0 (all gates underflowed): those rows take softmax(log_gates) and
+    a sum of 1."""
+    saturated = total[:, 0] == 0.0
+    total[saturated] = 1.0
+    weights = gates / total
+    weights[saturated] = softmax(log_gates[saturated])
+    return weights, total, saturated
+
+
 # --- self-attention ---------------------------------------------------------
 
 
@@ -86,33 +103,46 @@ class SelfAttnCache(NamedTuple):
     features: np.ndarray   # (B, n, d)
     w0: np.ndarray
     alpha: np.ndarray      # (B, n) raw sigmoid gates
-    alpha_sum: np.ndarray  # (B, 1)
+    alpha_sum: np.ndarray  # (B, 1), 1 on saturated rows
     norm_weights: np.ndarray
     pooled: np.ndarray     # (B, d)
+    saturated: np.ndarray | None  # (B,) rows whose gates all underflow
 
 
 def self_pool(feats: np.ndarray, w0: np.ndarray):
     """Batched self-attention: (B, n, d) -> ((B, d) pooled, cache)."""
-    alpha = sigmoid(feats @ w0)
-    asum = alpha.sum(axis=1, keepdims=True)  # sigmoid > 0, so asum > 0 always
-    norm_weights = alpha / asum
+    scores = feats @ w0
+    alpha = sigmoid(scores)
+    asum = alpha.sum(axis=1, keepdims=True)
+    if np.count_nonzero(asum) == len(asum):  # no zero sum; the cheapest test of it
+        norm_weights, saturated = alpha / asum, None
+    else:
+        norm_weights, asum, saturated = _saturated_weights(alpha, asum, _log_sigmoid(scores))
     pooled = _weighted_rows(norm_weights, feats)
-    return pooled, SelfAttnCache(feats, w0, alpha, asum, norm_weights, pooled)
+    return pooled, SelfAttnCache(feats, w0, alpha, asum, norm_weights, pooled, saturated)
 
 
 def self_pool_backward(cache: SelfAttnCache, d_pooled: np.ndarray,
-                       need_features: bool = False, d_alpha: np.ndarray | None = None):
+                       need_features: bool = False, d_alpha: np.ndarray | None = None,
+                       d_score: np.ndarray | None = None):
     """Returns (d_w0, d_features or None) for (B, d) upstream gradients.
 
-    ``d_alpha`` lets relation-attention inject an extra upstream gradient on
-    the raw gates.
+    ``d_alpha`` and ``d_score`` let relation-attention inject extra upstream
+    gradients on the raw gates and on the gate scores.
     """
     feats, alpha = cache.features, cache.alpha
     # pooled = sum(alpha_i f_i) / asum;  d pooled / d alpha_i = (f_i - pooled)/asum
-    g_alpha = _row_dot(feats - cache.pooled[:, None, :], d_pooled) / cache.alpha_sum
+    dots = _row_dot(feats - cache.pooled[:, None, :], d_pooled)
+    g_alpha = dots / cache.alpha_sum
     if d_alpha is not None:
         g_alpha += d_alpha
     g_score = g_alpha * alpha * (1.0 - alpha)
+    rows = cache.saturated
+    if rows is not None:
+        # the same gradient through log alpha, which has not underflowed
+        g_score[rows] = cache.norm_weights[rows] * (1.0 - alpha[rows]) * dots[rows]
+    if d_score is not None:
+        g_score += d_score
     d_w0 = g_score.reshape(-1) @ feats.reshape(-1, feats.shape[2])
     d_feats = None
     if need_features:
@@ -129,8 +159,9 @@ class RelationAttnCache(NamedTuple):
     w1: np.ndarray
     beta: np.ndarray          # (B, n)
     norm_weights: np.ndarray  # alpha*beta normalized
-    weight_sum: np.ndarray    # (B, 1)
+    weight_sum: np.ndarray    # (B, 1), 1 on saturated rows
     pooled_lo: np.ndarray     # (B, d) weighted average of the f_i
+    saturated: np.ndarray | None  # (B,) rows whose alpha*beta all underflow
 
 
 def relation_pool(feats: np.ndarray, w0: np.ndarray, w1: np.ndarray):
@@ -138,13 +169,19 @@ def relation_pool(feats: np.ndarray, w0: np.ndarray, w1: np.ndarray):
     d = feats.shape[2]
     f_s, self_cache = self_pool(feats, w0)
     # score t_i = [f_i : f_s] . w1, without forming the concatenation
-    beta = sigmoid(feats @ w1[:d] + (f_s @ w1[d:])[:, None])
+    scores = feats @ w1[:d] + (f_s @ w1[d:])[:, None]
+    beta = sigmoid(scores)
     weights = self_cache.alpha * beta
     wsum = weights.sum(axis=1, keepdims=True)
-    norm_weights = weights / wsum
+    if np.count_nonzero(wsum) == len(wsum):
+        norm_weights, saturated = weights / wsum, None
+    else:
+        norm_weights, wsum, saturated = _saturated_weights(
+            weights, wsum, _log_sigmoid(feats @ w0) + _log_sigmoid(scores))
     pooled_lo = _weighted_rows(norm_weights, feats)
     pooled = np.concatenate([pooled_lo, f_s], axis=1)
-    return pooled, RelationAttnCache(self_cache, w1, beta, norm_weights, wsum, pooled_lo)
+    return pooled, RelationAttnCache(self_cache, w1, beta, norm_weights, wsum, pooled_lo,
+                                     saturated)
 
 
 def relation_pool_backward(cache: RelationAttnCache, d_pooled: np.ndarray,
@@ -159,13 +196,21 @@ def relation_pool_backward(cache: RelationAttnCache, d_pooled: np.ndarray,
     # low block: weighted average of the f_i under weights alpha*beta
     g_weight = _row_dot(feats - cache.pooled_lo[:, None, :], g_lo) / cache.weight_sum
     g_score = alpha * g_weight * beta * (1.0 - beta)
+    d_alpha, d_score = beta * g_weight, None
+    rows = cache.saturated
+    if rows is not None:
+        # through log(alpha*beta); weight_sum is 1 there, so g_weight holds
+        # <f_i - pooled_lo, g_lo> (and d_alpha's share, times alpha, underflows)
+        g_log = cache.norm_weights[rows] * g_weight[rows]
+        g_score[rows] = g_log * (1.0 - beta[rows])
+        d_score = np.zeros_like(alpha)
+        d_score[rows] = g_log * (1.0 - alpha[rows])
     g_score_sum = g_score.sum(axis=1)
     # scores t_i = [f_i : f_s] . w1 touch both f_i and f_s
     d_w1 = np.concatenate([g_score.reshape(-1) @ feats.reshape(-1, d),
                            g_score_sum @ self_cache.pooled])
     d_fs = g_hi + g_score_sum[:, None] * w1[d:]
-    d_w0, d_feats_sa = self_pool_backward(self_cache, d_fs, need_features,
-                                          d_alpha=beta * g_weight)
+    d_w0, d_feats_sa = self_pool_backward(self_cache, d_fs, need_features, d_alpha, d_score)
     d_feats = None
     if need_features:
         d_feats = (cache.norm_weights[:, :, None] * g_lo[:, None, :]

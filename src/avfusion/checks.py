@@ -65,8 +65,7 @@ def check_fbp(seed: int, with_dropout: bool | None = None) -> float:
     upstream = rng.normal_vec(o)
     params = {"u_tilde": rng.uniform_mat(m, k * o, -0.5, 0.5),
               "v_tilde": rng.uniform_mat(n, k * o, -0.5, 0.5)}
-    mask = (np.array([rng.uniform() >= dropout_p for _ in range(k * o)], dtype=np.float64)
-            if with_dropout else None)
+    mask = (rng.uniform_vec(k * o) >= dropout_p).astype(np.float64) if with_dropout else None
     mask_scale = mask[None] / (1 - dropout_p) if with_dropout else None
 
     def loss(ps):

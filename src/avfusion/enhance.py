@@ -4,7 +4,8 @@ A frame's feature can be enhanced by re-extracting it under a grid of
 rotation/scale/flip variants and aggregating the resulting bag of vectors.
 The aggregators here are pure and permutation-invariant over the bag; actual
 image warping is out of scope, so the transform descriptors exist for
-generators to condition on.
+generators to condition on.  The ``*_rows`` functions work on stacks of N bags
+(N, T, d) or rows (N, d); ``f_mean`` and friends are their validated N=1 case.
 """
 
 import itertools
@@ -41,11 +42,37 @@ def enumerate_tta(rotations=DEFAULT_ROTATIONS, scales=DEFAULT_SCALES,
             for r, s, f in itertools.product(rotations, scales, flips)]
 
 
+def mean_rows(bags: np.ndarray) -> np.ndarray:
+    """Mean of each bag of a (N, T, d) stack: (N, d)."""
+    return np.mean(bags, axis=1)
+
+
+def meanstd_rows(bags: np.ndarray) -> np.ndarray:
+    """[mean : population std] of each bag of a (N, T, d) stack: (N, 2d)."""
+    mean = np.mean(bags, axis=1)
+    std = np.sqrt(np.mean((bags - mean[:, None, :]) ** 2, axis=1))
+    return np.concatenate([mean, std], axis=1)
+
+
+def normfft_rows(basic: np.ndarray) -> np.ndarray:
+    """Energy-normalized Fourier transform of each row of (N, d): (N, 2d)."""
+    spectrum = np.fft.fft(basic, axis=1)
+    energy = np.sqrt(np.sum(spectrum.real ** 2 + spectrum.imag ** 2, axis=1, keepdims=True))
+    # a zero row has a zero spectrum and passes through
+    spectrum = spectrum / np.where(energy > 0.0, energy, 1.0)
+    return np.concatenate([spectrum.real, spectrum.imag], axis=1)
+
+
+def ar_mean_rows(mean_a: np.ndarray, mean_r: np.ndarray) -> np.ndarray:
+    """[mean_a : mean_r] of the rows of two (N, d) mean features: (N, 2d)."""
+    if mean_a.shape != mean_r.shape:
+        raise DimMismatch(f"mean features differ in dim: {mean_a.shape} vs {mean_r.shape}")
+    return np.concatenate([mean_a, mean_r], axis=1)
+
+
 def f_mean(bag: FeatureBag) -> np.ndarray:
     """Arithmetic mean of the bag; output dim d."""
-    out = np.mean(bag.vectors, axis=0)
-    assert out.shape == (bag.dim,)
-    return out
+    return mean_rows(bag.vectors[None])[0]
 
 
 def f_meanstd(bag: FeatureBag) -> np.ndarray:
@@ -54,11 +81,7 @@ def f_meanstd(bag: FeatureBag) -> np.ndarray:
     The standard deviation divides by N, not N-1, so a bag of one yields
     [f : 0].
     """
-    mean = np.mean(bag.vectors, axis=0)
-    std = np.sqrt(np.mean((bag.vectors - mean) ** 2, axis=0))
-    out = np.concatenate([mean, std])
-    assert out.shape == (2 * bag.dim,)
-    return out
+    return meanstd_rows(bag.vectors[None])[0]
 
 
 def f_normfft(basic: np.ndarray) -> np.ndarray:
@@ -68,22 +91,9 @@ def f_normfft(basic: np.ndarray) -> np.ndarray:
     any nonzero input yields a unit-norm output; the zero vector passes
     through as zeros.  Output dim 2d.
     """
-    basic = check_vec(basic, "basic feature")
-    spectrum = np.fft.fft(basic)
-    energy = float(np.sqrt(np.sum(spectrum.real ** 2 + spectrum.imag ** 2)))
-    if energy > 0.0:
-        spectrum = spectrum / energy
-    out = np.concatenate([spectrum.real, spectrum.imag])
-    assert out.shape == (2 * basic.shape[0],)
-    return out
+    return normfft_rows(check_vec(basic, "basic feature")[None])[0]
 
 
 def f_ar_mean(mean_a: np.ndarray, mean_r: np.ndarray) -> np.ndarray:
     """Concatenation of two mean features from two extractors; output dim 2d."""
-    mean_a = check_vec(mean_a, "mean_a")
-    mean_r = check_vec(mean_r, "mean_r")
-    if mean_a.shape != mean_r.shape:
-        raise DimMismatch(f"mean features differ in dim: {mean_a.shape} vs {mean_r.shape}")
-    out = np.concatenate([mean_a, mean_r])
-    assert out.shape == (2 * mean_a.shape[0],)
-    return out
+    return ar_mean_rows(check_vec(mean_a, "mean_a")[None], check_vec(mean_r, "mean_r")[None])[0]

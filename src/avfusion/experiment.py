@@ -24,7 +24,7 @@ from .config import ExperimentConfig, config_summary, resolved_class_weights
 from .errors import DimMismatch, EmptyDataset, NumericalDivergence
 from .features import FeatureSet
 from .featfile import save_checkpoint
-from .numeric import check_finite
+from .numeric import BLOCK_FLOATS, check_finite
 from .rng import Rng
 from .synthetic import SyntheticDataset, enhanced_dim, gen_synthetic
 
@@ -45,15 +45,6 @@ def compute_metrics(y_true, y_pred, classes: int) -> Metrics:
     row_sums = confusion.sum(axis=1)
     recall = np.where(row_sums > 0, np.diag(confusion) / np.maximum(row_sums, 1), 0.0)
     return Metrics(accuracy=accuracy, per_class_recall=recall, confusion=confusion)
-
-
-# Rows per block: one block row's share of the widest intermediate of every
-# stage (audio set, visual set, fused or FBP product), summed, times the rows
-# stays within this many float64 values (128 KiB; 51 rows of the default
-# config).  Block temporaries then stay below glibc's mmap threshold and are
-# reused from the heap instead of being mapped and faulted in on every
-# operation, and peak memory does not grow with the batch.
-BLOCK_FLOATS = 1 << 14
 
 
 class IntraStage:
@@ -167,7 +158,8 @@ class FusionPipeline:
         return audio, visual, labels
 
     def block_rows(self, audio: np.ndarray, visual: np.ndarray) -> int:
-        """Rows per block for stacked inputs of these shapes (see BLOCK_FLOATS)."""
+        """Rows per block: one row's share of every stage's widest intermediate,
+        summed, times the rows is at most BLOCK_FLOATS (51 rows by default)."""
         fused = self.clf.weight.shape[1]
         if self.fbp_params is not None:
             fused = max(fused, self.fbp_params.u_tilde.shape[1])

@@ -12,6 +12,12 @@ import numpy as np
 
 from .errors import DimMismatch, NonFiniteValue
 
+# Batched code walks its rows in blocks whose widest temporaries hold at most
+# this many float64 values (128 KiB): below glibc's mmap threshold, they are
+# reused from the heap instead of mapped and faulted in on every operation,
+# and peak memory does not grow with the batch.
+BLOCK_FLOATS = 1 << 14
+
 
 def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
     """Return ``arr`` unchanged, or raise NonFiniteValue if it holds NaN or Inf."""

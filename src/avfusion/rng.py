@@ -14,7 +14,12 @@ Test vectors (first three ``next_u64`` outputs):
     seed 1  -> 5424204624148110235, 15555979849632202484, 6851360858507811590
     seed 42 -> 3580622183945639842, 10378725325292465923, 8967075514996744559
 
-Bulk draws (dropout masks) come from a second, counter-based stream after
+Vector draws (``u64_block``, ``draws``, ``*_vec``) are the scalar calls'
+exact stream.  The state update T is linear over GF(2), so each lane of
+``_LANE`` draws starts one jump by T^_LANE after the last (Haramoto et al.,
+INFORMS J. Computing 2008), and all lanes step together in numpy ``uint64``.
+
+Dropout masks come from a second, counter-based stream after
 Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011):
 output ``i`` under key ``k`` is the splitmix64 finalizer of
 ``k + (i + 1) * golden`` (mod 2^64), i.e. the i-th output of a splitmix64
@@ -24,6 +29,7 @@ counters are split into calls.
 """
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -31,6 +37,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_MUL = 0x2545F4914F6CDD1D
+_LANE = 64  # draws per lane of a bulk call; a power of two, for the squaring
+# below this many draws the scalar loop is faster than the _LANE numpy steps
+_BULK_MIN = 512
 
 
 def _splitmix64(x: int) -> int:
@@ -39,6 +49,47 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
+
+
+def _byte_tables(cols: list) -> list:
+    """[b][v]: image of byte b = v under the GF(2) map with columns ``cols``."""
+    tables = []
+    for b in range(8):
+        table = [0] * 256
+        for v in range(1, 256):
+            table[v] = table[v & (v - 1)] ^ cols[8 * b + (v & -v).bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _jump(tables: list, x: int) -> int:
+    """The linear map held in byte tables, applied to the state x."""
+    out = 0
+    for table in tables:
+        out ^= table[x & 255]
+        x >>= 8
+    return out
+
+
+@cache
+def _lane_jump() -> list:
+    """Byte tables of T^_LANE, the state update applied _LANE times."""
+    probe, cols = Rng(0), []
+    for i in range(64):  # T's columns: the update of each unit state
+        probe._state = 1 << i
+        probe.next_u64()
+        cols.append(probe._state)
+    tables = _byte_tables(cols)
+    for _ in range(_LANE.bit_length() - 1):  # square
+        tables = _byte_tables([_jump(tables, _jump(tables, 1 << i)) for i in range(64)])
+    return tables
+
+
+def _unit(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) with 53 random mantissa bits from raw 64-bit
+    outputs, which it shifts in place."""
+    raw >>= np.uint64(11)
+    return raw * (1.0 / (1 << 53))
 
 
 def counter_uniform(key: int, start: int, stop: int) -> np.ndarray:
@@ -54,8 +105,7 @@ def counter_uniform(key: int, start: int, stop: int) -> np.ndarray:
     x ^= x >> np.uint64(27)
     x *= np.uint64(_MIX2)
     x ^= x >> np.uint64(31)
-    x >>= np.uint64(11)
-    return x * (1.0 / (1 << 53))
+    return _unit(x)
 
 
 class Rng:
@@ -76,6 +126,47 @@ class Rng:
         x ^= x >> 27
         self._state = x
         return (x * 0x2545F4914F6CDD1D) & _MASK64
+
+    def u64_block(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs of ``next_u64``, as a uint64 array."""
+        if count < _BULK_MIN:
+            return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
+        tables, starts = _lane_jump(), [self._state]
+        for _ in range((count - 1) // _LANE):
+            starts.append(_jump(tables, starts[-1]))
+        x = np.array(starts, dtype=np.uint64)
+        states = np.empty((_LANE, x.size), dtype=np.uint64)
+        for row in states:
+            x ^= x >> np.uint64(12)
+            x ^= x << np.uint64(25)
+            x ^= x >> np.uint64(27)
+            row[:] = x
+        states = states.T.reshape(-1)[:count]
+        self._state = int(states[-1])
+        return states * np.uint64(_MUL)
+
+    def draws(self, is_normal, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+        """Per slot, in order: ``normal(mu, sigma)`` where ``is_normal``, else
+        ``uniform()``.  A bulk call that meets a first uniform of 0, which
+        ``normal`` redraws (about 1.1e-16 per draw), replays the scalar calls.
+        """
+        is_normal = np.asarray(is_normal, dtype=bool)
+        total = is_normal.size + np.count_nonzero(is_normal)  # outputs
+        if total >= _BULK_MIN:
+            start = self._state
+            u = _unit(self.u64_block(total))
+            width = is_normal + 1
+            first = np.cumsum(width) - width
+            out, u2 = u[first], u[first[is_normal] + 1]
+            u1 = out[is_normal]
+            if (u1 != 0.0).all():
+                r = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+                c = np.array(list(map(math.cos, ((2.0 * math.pi) * u2).tolist())))
+                out[is_normal] = mu + sigma * r * c
+                return out
+            self._state = start
+        return np.array([self.normal(mu, sigma) if k else self.uniform()
+                         for k in is_normal.tolist()], dtype=np.float64)
 
     def split(self) -> "Rng":
         """Child generator whose stream is independent of later draws here."""
@@ -112,13 +203,13 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
     def uniform_vec(self, size: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(low, high) for _ in range(size)])
+        return low + (high - low) * _unit(self.u64_block(size))
 
     def uniform_mat(self, rows: int, cols: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self.uniform_vec(rows * cols, low, high).reshape(rows, cols)
 
     def normal_vec(self, size: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        return np.array([self.normal(mu, sigma) for _ in range(size)])
+        return self.draws(np.ones(size, dtype=bool), mu, sigma)
 
     def normal_mat(self, rows: int, cols: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         return self.normal_vec(rows * cols, mu, sigma).reshape(rows, cols)

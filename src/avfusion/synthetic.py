@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .enhance import TtaTransform, enumerate_tta, f_ar_mean, f_mean, f_meanstd, f_normfft
+from .enhance import ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows, normfft_rows
 from .errors import InvalidConfig
-from .features import FeatureBag, FeatureSet
+from .features import FeatureSet
+from .numeric import BLOCK_FLOATS
 from .rng import Rng
 
 
@@ -49,40 +50,67 @@ class _TtaConditioner:
     dataset-level directions.  The identity descriptor is a no-op.
     """
 
-    def __init__(self, dim: int, rng: Rng):
+    def __init__(self, dim: int, transforms, rng: Rng):
         self.rot_dir = rng.normal_vec(dim, 0.0, 0.02)
         self.flip_dir = rng.normal_vec(dim, 0.0, 0.05)
+        self.scale = np.array([t.scale for t in transforms])[:, None]
+        self.turn = np.array([t.rotation_deg for t in transforms])[:, None] * self.rot_dir
+        self.flipped = np.array([t.flipped for t in transforms])
 
-    def variant(self, x: np.ndarray, t: TtaTransform) -> np.ndarray:
-        out = t.scale * x + t.rotation_deg * self.rot_dir
-        if t.flipped:
-            out = out + self.flip_dir
+    def bags(self, frames: np.ndarray) -> np.ndarray:
+        """(M, d) frames -> (M, T, d): each frame's variant under every transform."""
+        out = self.scale * frames[:, None, :] + self.turn
+        out[:, self.flipped] += self.flip_dir
         return out
-
-    def bag(self, x: np.ndarray, transforms) -> FeatureBag:
-        return FeatureBag([self.variant(x, t) for t in transforms])
 
 
 def _make_enhancer(cfg: ExperimentConfig, rng: Rng):
-    """Returns a function mapping a base visual frame feature to its enhanced form."""
+    """(enhance, floats): enhance maps (M, d) base visual frames to their
+    enhanced rows; floats is the width of its widest temporary per frame."""
+    dim = cfg.visual_dim
     if cfg.enhance_mode == "none":
-        return lambda x: x
+        return (lambda x: x), dim
     if cfg.enhance_mode == "normfft":
-        return f_normfft
+        return normfft_rows, 2 * dim
     transforms = enumerate_tta(cfg.tta_rotations, cfg.tta_scales, flip=True)
-    cond = _TtaConditioner(cfg.visual_dim, rng)
+    cond = _TtaConditioner(dim, transforms, rng)
+    floats = len(transforms) * dim
     if cfg.enhance_mode == "mean":
-        return lambda x: f_mean(cond.bag(x, transforms))
+        return (lambda x: mean_rows(cond.bags(x))), floats
     if cfg.enhance_mode == "meanstd":
-        return lambda x: f_meanstd(cond.bag(x, transforms))
+        return (lambda x: meanstd_rows(cond.bags(x))), floats
     # ar_mean: two extractor views with their own conditioning directions
-    cond_r = _TtaConditioner(cfg.visual_dim, rng)
-    return lambda x: f_ar_mean(f_mean(cond.bag(x, transforms)),
-                               f_mean(cond_r.bag(x, transforms)))
+    cond_r = _TtaConditioner(dim, transforms, rng)
+    return (lambda x: ar_mean_rows(mean_rows(cond.bags(x)), mean_rows(cond_r.bags(x)))), floats
+
+
+def _blocks(start: int, stop: int, cfg: ExperimentConfig, draws: int, frame_floats: int):
+    """Sample ranges [lo, hi) of at most BLOCK_FLOATS values of the widest
+    per-sample temporary: the ``draws`` raw outputs, or the enhancer's."""
+    rows = max(1, BLOCK_FLOATS // max(draws, cfg.visual_frames * frame_floats))
+    for lo in range(start, stop, rows):
+        yield lo, min(lo + rows, stop)
+
+
+def _block_samples(cfg: ExperimentConfig, enhance, center_a, center_v, z, labels) -> list:
+    """(audio, visual, label) per sample of a block: frames are the (rows, d)
+    centers plus noise times the (rows, frames * d) normals z, audio first."""
+    na = cfg.audio_frames * cfg.audio_dim
+    audio = center_a[:, None, :] + cfg.noise * z[:, :na].reshape(-1, cfg.audio_frames,
+                                                                  cfg.audio_dim)
+    visual = center_v[:, None, :] + cfg.noise * z[:, na:].reshape(-1, cfg.visual_frames,
+                                                                   cfg.visual_dim)
+    visual = enhance(visual.reshape(-1, cfg.visual_dim)).reshape(len(labels),
+                                                                 cfg.visual_frames, -1)
+    return [(FeatureSet(a), FeatureSet(v), label) for a, v, label in zip(audio, visual, labels)]
 
 
 def gen_synthetic(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
-    """Generate a dataset; identical config and rng seed give identical bytes."""
+    """Generate a dataset; identical config and rng seed give identical bytes.
+
+    Samples are drawn in blocks, one bulk draw per block, in the order of a
+    loop over samples.
+    """
     if cfg.data_mode == "clustered":
         return _gen_clustered(cfg, rng)
     if cfg.data_mode == "interaction":
@@ -95,15 +123,13 @@ def _gen_clustered(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
         raise InvalidConfig("need at least one sample per class")
     protos_a = rng.normal_mat(cfg.classes, cfg.audio_dim)
     protos_v = rng.normal_mat(cfg.classes, cfg.visual_dim)
-    enhancer = _make_enhancer(cfg, rng)
+    enhance, frame_floats = _make_enhancer(cfg, rng)
+    nz = cfg.audio_frames * cfg.audio_dim + cfg.visual_frames * cfg.visual_dim
     samples = []
-    for i in range(cfg.samples):
-        label = i % cfg.classes
-        audio = protos_a[label] + cfg.noise * rng.normal_mat(cfg.audio_frames, cfg.audio_dim)
-        visual_base = protos_v[label] + cfg.noise * rng.normal_mat(cfg.visual_frames,
-                                                                   cfg.visual_dim)
-        visual = np.array([enhancer(frame) for frame in visual_base])
-        samples.append((FeatureSet(audio), FeatureSet(visual), label))
+    for lo, hi in _blocks(0, cfg.samples, cfg, 2 * nz, frame_floats):
+        labels = np.arange(lo, hi) % cfg.classes
+        samples += _block_samples(cfg, enhance, protos_a[labels], protos_v[labels],
+                                  rng.normal_mat(hi - lo, nz), labels.tolist())
     return SyntheticDataset(samples=samples, classes=cfg.classes)
 
 
@@ -114,23 +140,26 @@ def _gen_interaction(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     p /= np.linalg.norm(p)
     q = rng.normal_vec(cfg.visual_dim)
     q /= np.linalg.norm(q)
-    enhancer = _make_enhancer(cfg, rng)
+    enhance, frame_floats = _make_enhancer(cfg, rng)
+    nz = cfg.audio_frames * cfg.audio_dim + cfg.visual_frames * cfg.visual_dim
+    # the first two samples are pinned to one label each, so both classes are
+    # always present, and draw no signs
+    pinned = min(2, cfg.samples)
     samples = []
-    for i in range(cfg.samples):
-        if i < 2:
-            # pin the first two samples to one label each so both classes
-            # are always present
-            sign_a, sign_v = 1.0, (1.0 if i == 0 else -1.0)
-        else:
-            sign_a = 1.0 if rng.uniform() < 0.5 else -1.0
-            sign_v = 1.0 if rng.uniform() < 0.5 else -1.0
-        mag_a = rng.uniform(0.5, 1.5)
-        mag_v = rng.uniform(0.5, 1.5)
-        latent_a = sign_a * mag_a * p
-        latent_v = sign_v * mag_v * q
-        audio = latent_a + cfg.noise * rng.normal_mat(cfg.audio_frames, cfg.audio_dim)
-        visual_base = latent_v + cfg.noise * rng.normal_mat(cfg.visual_frames, cfg.visual_dim)
-        visual = np.array([enhancer(frame) for frame in visual_base])
-        label = 1 if sign_a * sign_v > 0 else 0
-        samples.append((FeatureSet(audio), FeatureSet(visual), label))
+    for signs, start, stop in ((0, 0, pinned), (2, pinned, cfg.samples)):
+        for lo, hi in _blocks(start, stop, cfg, signs + 2 + 2 * nz, frame_floats):
+            # per sample: sign uniforms, two magnitude uniforms, noise normals
+            draws = rng.draws(np.tile([False] * (signs + 2) + [True] * nz, hi - lo))
+            draws = draws.reshape(hi - lo, signs + 2 + nz)
+            if signs:
+                sign_a = np.where(draws[:, 0] < 0.5, 1.0, -1.0)
+                sign_v = np.where(draws[:, 1] < 0.5, 1.0, -1.0)
+            else:
+                sign_a, sign_v = np.ones(hi - lo), np.where(np.arange(lo, hi) == 0, 1.0, -1.0)
+            mag_a = 0.5 + (1.5 - 0.5) * draws[:, signs]
+            mag_v = 0.5 + (1.5 - 0.5) * draws[:, signs + 1]
+            labels = np.where(sign_a * sign_v > 0, 1, 0).tolist()
+            samples += _block_samples(cfg, enhance, (sign_a * mag_a)[:, None] * p,
+                                      (sign_v * mag_v)[:, None] * q, draws[:, signs + 2:],
+                                      labels)
     return SyntheticDataset(samples=samples, classes=2)

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from avfusion.attention import (RelationAttnParams, SelfAttnParams,
                                 TransformerAttnParams, relation_attend,
-                                relation_attend_backward, self_attend,
-                                self_attend_backward, transformer_attend,
-                                transformer_attend_backward)
+                                relation_attend_backward, relation_pool,
+                                relation_pool_backward, self_attend,
+                                self_attend_backward, self_pool, self_pool_backward,
+                                transformer_attend, transformer_attend_backward)
 from avfusion.checks import check_attention
 from avfusion.errors import DimMismatch, MissingForwardCache
 from avfusion.features import FeatureSet
 from avfusion.gradcheck import grad_check
+from avfusion.numeric import softmax
 from avfusion.rng import Rng
 
 
@@ -258,6 +260,68 @@ class TestBackward:
             transformer_attend(fs, pt).cache, np.zeros(d))
         for g in (d_w2, d_b, d_u, d_f):
             assert np.all(g == 0.0)
+
+
+def _saturated_batch(seed, level):
+    """(feats, w0, w1): row 0 has self scores near ``level`` with a small
+    spread, and relation scores equal to them; row 1 is an ordinary set."""
+    rng = Rng(seed)
+    w0 = rng.uniform_vec(3, -1.0, 1.0)
+    w1 = np.concatenate([w0, np.zeros(3)])
+    along = level + rng.uniform_vec(4, -3.0, 3.0)
+    row0 = np.outer(along, w0 / (w0 @ w0))
+    return np.stack([row0, rng.normal_mat(4, 3)]), w0, w1
+
+
+class TestSaturatedGates:
+    """Sets whose gates, or relation's alpha*beta, all underflow to 0."""
+
+    @pytest.mark.parametrize("level", [-900.0, -2e4])
+    def test_self_weights_come_from_the_log_gates(self, level):
+        feats, w0, _ = _saturated_batch(1, level)
+        pooled, cache = self_pool(feats, w0)
+        assert np.all(cache.alpha[0] == 0.0)
+        # log sigmoid(s) is s itself this far below 0
+        assert np.allclose(cache.norm_weights[0], softmax(feats[0] @ w0), rtol=1e-12)
+        assert np.all(np.isfinite(pooled))
+        # the ordinary row keeps the bytes it has on its own
+        alone, _ = self_pool(feats[1:], w0)
+        assert pooled[1].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("level", [-900.0, -400.0])
+    def test_relation_weights_come_from_the_log_gate_products(self, level):
+        # at -400 only the products alpha*beta underflow, not alpha itself
+        feats, w0, w1 = _saturated_batch(2, level)
+        pooled, cache = relation_pool(feats, w0, w1)
+        assert (cache.self_cache.saturated is not None) == (level < -745.0)
+        assert np.all(cache.self_cache.alpha[0] * cache.beta[0] == 0.0)
+        assert np.allclose(cache.norm_weights[0], softmax(2.0 * (feats[0] @ w0)), rtol=1e-9)
+        assert np.all(np.isfinite(pooled))
+        alone, _ = relation_pool(feats[1:], w0, w1)
+        assert pooled[1].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("level", [-900.0, -400.0])
+    @pytest.mark.parametrize("kind", ["self", "relation"])
+    def test_gradients_match_central_differences(self, kind, level):
+        feats, w0, w1 = _saturated_batch(3, level)
+        upstream = Rng(4).normal_mat(2, 6 if kind == "relation" else 3)
+        params = {"w0": w0, "w1": w1} if kind == "relation" else {"w0": w0}
+        params["features"] = feats
+
+        def loss(ps):
+            ws = [ps[k] for k in ps if k != "features"]
+            if kind == "relation":
+                pooled, cache = relation_pool(ps["features"], *ws)
+                *grads, d_feats = relation_pool_backward(cache, upstream, need_features=True)
+            else:
+                pooled, cache = self_pool(ps["features"], *ws)
+                *grads, d_feats = self_pool_backward(cache, upstream, need_features=True)
+            for g in (*grads, d_feats):
+                assert np.all(np.isfinite(g))
+            return float(np.sum(pooled * upstream)), {**dict(zip(ps, grads)),
+                                                      "features": d_feats}
+
+        assert grad_check(loss, params) < 1e-4
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -123,6 +123,16 @@ class TestFuseConcat:
         got = self._fuse(tmp_path, "relation", "self", a, v)
         assert got == np.concatenate([a, a, v], axis=1).astype("<f4").tobytes()
 
+    def test_saturated_self_gates_pool_to_the_set(self, tmp_path, capsys):
+        # every gate of 1e30 features against the default seed's w0 underflows
+        # to 0; the set still pools to its (common) feature, with no warning
+        a, v = np.full((2, 3), 1e30), Rng(76).normal_mat(1, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._fuse(tmp_path, "self", "self", a, v)
+        assert got == np.concatenate([a[:1], v], axis=1).astype("<f4").tobytes()
+        assert capsys.readouterr().err == ""
+
     def test_empty_modality_rejected(self, tmp_path, capsys):
         save_features(tmp_path / "v.avf", FeatureSet(np.ones((1, 2))))
         (tmp_path / "a.avf").write_bytes(b"AVF1" + struct.pack("<II", 0, 3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avfusion.rng import Rng
+from avfusion.rng import _BULK_MIN, _LANE, Rng
 
 # frozen stream heads; any change to the algorithm is a breaking change
 KNOWN_STREAMS = {
@@ -75,3 +75,98 @@ def test_normal_moments():
 def test_seed_is_masked_to_64_bits():
     assert Rng(1 << 70).seed == 0
     assert Rng(-1 & ((1 << 64) - 1)).next_u64() == Rng(2**64 - 1).next_u64()
+
+
+# --- bulk draws: the exact stream of the scalar calls -------------------------
+
+_MASK = (1 << 64) - 1
+_MUL = 0x2545F4914F6CDD1D
+BULK_COUNTS = sorted({1, _LANE - 1, _LANE, _LANE + 1, _BULK_MIN - 1, _BULK_MIN,
+                      _BULK_MIN + 1, 5 * _LANE, 9 * _LANE + 7, 40 * _LANE + 1})
+
+
+@pytest.mark.parametrize("count", [0] + BULK_COUNTS)
+def test_u64_block_is_the_scalar_stream(count):
+    bulk, scalar = Rng(31), Rng(31)
+    block = bulk.u64_block(count)
+    assert block.dtype == np.uint64
+    assert block.tolist() == [scalar.next_u64() for _ in range(count)]
+    # and it leaves the state where the scalar calls do
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("count", BULK_COUNTS)
+@pytest.mark.parametrize("low,high", [(0.0, 1.0), (-2.5, 3.0), (0.5, 1.5), (-1, 1)])
+def test_uniform_vec_is_the_scalar_stream(count, low, high):
+    bulk, scalar = Rng(32), Rng(32)
+    got = bulk.uniform_vec(count, low, high)
+    assert got.tobytes() == np.array([scalar.uniform(low, high) for _ in range(count)]).tobytes()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("count", BULK_COUNTS)
+@pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (1.0, 2.0), (0.0, 0.02), (-3.0, 0.5)])
+def test_normal_vec_is_the_scalar_stream(count, mu, sigma):
+    bulk, scalar = Rng(33), Rng(33)
+    got = bulk.normal_vec(count, mu, sigma)
+    assert got.tobytes() == np.array([scalar.normal(mu, sigma) for _ in range(count)]).tobytes()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_mixed_draws_are_the_scalar_stream():
+    # the interaction generator's layout: uniforms, then normals, per sample
+    layout = np.tile([False] * 4 + [True] * 36, 30)
+    bulk, scalar = Rng(34), Rng(34)
+    got = bulk.draws(layout)
+    want = [scalar.normal() if k else scalar.uniform() for k in layout]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def _unstep(x):
+    """Inverse of the xorshift64* state update."""
+    for shift, left in ((27, False), (25, True), (12, False)):
+        y, part = x, x
+        while True:
+            part = ((part << shift) & _MASK) if left else part >> shift
+            if not part:
+                break
+            y ^= part
+        x = y
+    return x
+
+
+def _state_before_zero_uniform(draws_before):
+    """A state whose next ``draws_before`` outputs are followed by an output
+    below 2**11, i.e. a uniform of exactly 0.0."""
+    state = pow(_MUL, -1, 1 << 64)  # state * MUL = 1 (mod 2**64)
+    for _ in range(draws_before + 1):
+        state = _unstep(state)
+    return state
+
+
+@pytest.mark.parametrize("k", [0, 7, 300])
+def test_zero_first_uniform_in_a_bulk_call_is_redrawn(k):
+    # normal k's first uniform is output 2k of the call
+    start = _state_before_zero_uniform(2 * k)
+    probe = Rng(0)
+    probe._state = start
+    assert probe.u64_block(2 * k + 1)[-1] >> np.uint64(11) == 0
+    bulk, scalar = Rng(0), Rng(0)
+    bulk._state = scalar._state = start
+    got = bulk.normal_vec(_BULK_MIN, 1.0, 2.0)
+    want = np.array([scalar.normal(1.0, 2.0) for _ in range(_BULK_MIN)])
+    assert got.tobytes() == want.tobytes()
+    assert np.all(np.isfinite(got))
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_zero_first_uniform_in_mixed_draws_is_redrawn():
+    # slot 2 is the first normal, after two uniforms: its u1 is output 2
+    layout = np.tile([False, False] + [True] * 20, 30)
+    bulk, scalar = Rng(0), Rng(0)
+    bulk._state = scalar._state = _state_before_zero_uniform(2)
+    got = bulk.draws(layout)
+    want = [scalar.normal() if k else scalar.uniform() for k in layout]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert bulk.next_u64() == scalar.next_u64()

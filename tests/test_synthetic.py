@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from avfusion import synthetic
 from avfusion.classifier import SoftmaxParams, softmax_forward
 from avfusion.config import ExperimentConfig
+from avfusion.enhance import enumerate_tta, f_ar_mean, f_mean, f_meanstd, f_normfft
 from avfusion.errors import InvalidConfig
+from avfusion.features import FeatureBag, FeatureSet
 from avfusion.rng import Rng
 from avfusion.synthetic import enhanced_dim, gen_synthetic
 from test_classifier import fit_softmax
@@ -115,3 +118,115 @@ class TestEnhancement:
         v0 = base.samples[0][1].vectors[0]
         v1 = enhanced.samples[0][1].vectors[0]
         assert np.max(np.abs(v0 - v1)) < 0.5
+
+
+# --- loop oracle: the per-sample, per-frame generators -----------------------
+
+
+class LoopConditioner:
+    def __init__(self, dim, rng):
+        self.rot_dir = rng.normal_vec(dim, 0.0, 0.02)
+        self.flip_dir = rng.normal_vec(dim, 0.0, 0.05)
+
+    def variant(self, x, t):
+        out = t.scale * x + t.rotation_deg * self.rot_dir
+        if t.flipped:
+            out = out + self.flip_dir
+        return out
+
+    def bag(self, x, transforms):
+        return FeatureBag([self.variant(x, t) for t in transforms])
+
+
+def loop_enhancer(cfg, rng):
+    if cfg.enhance_mode == "none":
+        return lambda x: x
+    if cfg.enhance_mode == "normfft":
+        return f_normfft
+    transforms = enumerate_tta(cfg.tta_rotations, cfg.tta_scales, flip=True)
+    cond = LoopConditioner(cfg.visual_dim, rng)
+    if cfg.enhance_mode == "mean":
+        return lambda x: f_mean(cond.bag(x, transforms))
+    if cfg.enhance_mode == "meanstd":
+        return lambda x: f_meanstd(cond.bag(x, transforms))
+    cond_r = LoopConditioner(cfg.visual_dim, rng)
+    return lambda x: f_ar_mean(f_mean(cond.bag(x, transforms)),
+                               f_mean(cond_r.bag(x, transforms)))
+
+
+def loop_gen_synthetic(cfg, rng):
+    """One sample at a time, one scalar-sized draw at a time."""
+    if cfg.data_mode == "clustered":
+        protos_a = rng.normal_mat(cfg.classes, cfg.audio_dim)
+        protos_v = rng.normal_mat(cfg.classes, cfg.visual_dim)
+    else:
+        p = rng.normal_vec(cfg.audio_dim)
+        p /= np.linalg.norm(p)
+        q = rng.normal_vec(cfg.visual_dim)
+        q /= np.linalg.norm(q)
+    enhancer = loop_enhancer(cfg, rng)
+    samples = []
+    for i in range(cfg.samples):
+        if cfg.data_mode == "clustered":
+            label = i % cfg.classes
+            audio = protos_a[label] + cfg.noise * rng.normal_mat(cfg.audio_frames, cfg.audio_dim)
+            visual_base = protos_v[label] + cfg.noise * rng.normal_mat(cfg.visual_frames,
+                                                                       cfg.visual_dim)
+        else:
+            if i < 2:
+                sign_a, sign_v = 1.0, (1.0 if i == 0 else -1.0)
+            else:
+                sign_a = 1.0 if rng.uniform() < 0.5 else -1.0
+                sign_v = 1.0 if rng.uniform() < 0.5 else -1.0
+            mag_a = rng.uniform(0.5, 1.5)
+            mag_v = rng.uniform(0.5, 1.5)
+            audio = sign_a * mag_a * p + cfg.noise * rng.normal_mat(cfg.audio_frames,
+                                                                    cfg.audio_dim)
+            visual_base = sign_v * mag_v * q + cfg.noise * rng.normal_mat(cfg.visual_frames,
+                                                                          cfg.visual_dim)
+            label = 1 if sign_a * sign_v > 0 else 0
+        visual = np.array([enhancer(frame) for frame in visual_base])
+        samples.append((FeatureSet(audio), FeatureSet(visual), label))
+    return samples
+
+
+def assert_same_dataset(cfg):
+    bulk_rng, loop_rng = Rng(cfg.seed), Rng(cfg.seed)
+    got = gen_synthetic(cfg, bulk_rng).samples
+    want = loop_gen_synthetic(cfg, loop_rng)
+    assert len(got) == len(want)
+    for (a, v, label), (wa, wv, wlabel) in zip(got, want):
+        assert type(label) is int and label == wlabel
+        assert a.vectors.shape == wa.vectors.shape and v.vectors.shape == wv.vectors.shape
+        assert a.vectors.tobytes() == wa.vectors.tobytes()
+        assert v.vectors.tobytes() == wv.vectors.tobytes()
+    # both leave the stream at the same point
+    assert bulk_rng.next_u64() == loop_rng.next_u64()
+
+
+@pytest.mark.parametrize("block_floats", [synthetic.BLOCK_FLOATS, 700])
+@pytest.mark.parametrize("mode", ["none", "mean", "meanstd", "normfft", "ar_mean"])
+@pytest.mark.parametrize("data_mode", ["clustered", "interaction"])
+def test_bulk_generators_match_the_loop_oracle(data_mode, mode, block_floats, monkeypatch):
+    monkeypatch.setattr(synthetic, "BLOCK_FLOATS", block_floats)
+    classes = 2 if data_mode == "interaction" else 3
+    # odd dims and frame counts, 1-d frames, and sample counts that no block
+    # size divides
+    for dims in ((5, 3, 3, 7), (1, 1, 1, 5), (3, 9, 2, 1)):
+        audio_dim, visual_dim, audio_frames, visual_frames = dims
+        assert_same_dataset(ExperimentConfig(
+            seed=19 + visual_dim, data_mode=data_mode, classes=classes, samples=83,
+            audio_dim=audio_dim, visual_dim=visual_dim, audio_frames=audio_frames,
+            visual_frames=visual_frames, enhance_mode=mode))
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2, 3])
+def test_tiny_interaction_sets_match_the_loop_oracle(samples):
+    # the first two labels are pinned and draw no signs
+    assert_same_dataset(interaction_cfg(samples=samples, seed=23))
+
+
+def test_criterion_4_data_matches_the_loop_oracle():
+    assert_same_dataset(ExperimentConfig(
+        seed=777, data_mode="interaction", samples=2000, classes=2, audio_dim=6,
+        visual_dim=6, audio_frames=3, visual_frames=3, noise=0.1))
