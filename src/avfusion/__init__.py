@@ -6,17 +6,16 @@ classifier with class re-weighting — all with hand-derived gradients
 validated by finite differences, plus a config-driven experiment CLI.
 """
 
-from .attention import (RelationAttnParams, SelfAttnParams, TransformerAttnParams,
-                        relation_attend, self_attend, transformer_attend)
+from .attention import POOLS
 from .classifier import (ClassScores, ClassWeights, SoftmaxParams,
-                         apply_class_weights, softmax_forward)
+                         apply_class_weights, class_probs)
 from .config import ExperimentConfig, load_config, parse_config
-from .enhance import (TtaTransform, enumerate_tta, f_ar_mean, f_mean,
-                      f_meanstd, f_normfft)
+from .enhance import (TtaTransform, ar_mean_rows, enumerate_tta, mean_rows,
+                      meanstd_rows, normfft_rows)
 from .errors import AvfusionError
-from .experiment import FusionPipeline, Metrics, run_experiment
+from .experiment import FusionPipeline, IntraStage, Metrics, run_experiment
 from .fbp import FBPParams, FusedVec, fbp_expand, fbp_fuse
-from .features import FeatureBag, FeatureSet
+from .features import FeatureSet
 from .featfile import load_checkpoint, load_features, save_checkpoint, save_features
 from .gradcheck import grad_check
 from .rng import Rng

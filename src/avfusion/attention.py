@@ -1,6 +1,6 @@
 """Intra-modal attention pooling.
 
-Three mechanisms collapse a FeatureSet {f_1..f_n} into one vector:
+Three mechanisms collapse a set of features {f_1..f_n} into one vector:
 
 * self-attention: a_i = sigmoid(f_i . w0), pooled = sum(a_i f_i) / sum(a_j)
 * relation-attention: b_i = sigmoid([f_i : f_s] . w1) on top of the
@@ -18,56 +18,20 @@ gates all underflow to 0 takes them from its max-shifted log gates.  All three a
 set functions: permuting the inputs permutes the returned weights and leaves
 the pooled vector unchanged.
 
-The ``*_pool`` functions are the implementation: they take a batch of
-feature sets stacked as a (B, n, d) array and return (B, out) pooled rows
-plus a cache, and their backward passes return parameter gradients summed
-over the batch.  The gradient with respect to the input features is only
-formed when asked for.  ``self_attend`` and friends are the validated
-per-sample API, the B=1 case of the same code.
+Each ``*_pool`` function takes a batch of feature sets stacked as a (B, n, d)
+array and returns (B, out) pooled rows plus a cache; its backward pass
+returns parameter gradients summed over the batch, and forms the gradient
+with respect to the input features only when asked for.  ``POOLS`` maps each
+kind to its parameter init, pool, backward and pooled width;
+``experiment.IntraStage`` wraps one kind as a pipeline stage.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, MissingForwardCache
-from .features import FeatureSet
-from .numeric import check_mat, check_vec, sigmoid, softmax
+from .numeric import sigmoid, softmax
 from .rng import Rng
-
-
-@dataclass
-class SelfAttnParams:
-    w0: np.ndarray  # (d,)
-
-    @classmethod
-    def init(cls, dim: int, rng: Rng) -> "SelfAttnParams":
-        scale = 1.0 / np.sqrt(dim)
-        return cls(w0=rng.uniform_vec(dim, -scale, scale))
-
-
-@dataclass
-class RelationAttnParams:
-    w1: np.ndarray  # (2d,) applied to [f_i : f_s]
-
-    @classmethod
-    def init(cls, dim: int, rng: Rng) -> "RelationAttnParams":
-        scale = 1.0 / np.sqrt(2 * dim)
-        return cls(w1=rng.uniform_vec(2 * dim, -scale, scale))
-
-
-@dataclass
-class TransformerAttnParams:
-    w2: np.ndarray  # (m, d)
-    b: np.ndarray   # (m,)
-    u: np.ndarray   # (m,)
-
-    @classmethod
-    def init(cls, dim: int, hidden: int, rng: Rng) -> "TransformerAttnParams":
-        scale = 1.0 / np.sqrt(dim)
-        w2 = rng.uniform_mat(hidden, dim, -scale, scale)
-        return cls(w2=w2, b=np.zeros(hidden), u=np.zeros(hidden))
 
 
 def _weighted_rows(weights: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -259,111 +223,30 @@ def transformer_pool_backward(cache: TransformerAttnCache, d_pooled: np.ndarray,
     return d_w2, d_b, d_u, d_feats
 
 
+def _self_init(d: int, hidden: int, rng: Rng) -> dict:
+    scale = 1.0 / np.sqrt(d)
+    return {"w0": rng.uniform_vec(d, -scale, scale)}
+
+
+def _relation_init(d: int, hidden: int, rng: Rng) -> dict:
+    # w1 (2d,) applies to [f_i : f_s]; drawn after the self-attention w0
+    scale = 1.0 / np.sqrt(2 * d)
+    return {**_self_init(d, hidden, rng), "w1": rng.uniform_vec(2 * d, -scale, scale)}
+
+
+def _transformer_init(d: int, hidden: int, rng: Rng) -> dict:
+    scale = 1.0 / np.sqrt(d)
+    return {"w2": rng.uniform_mat(hidden, d, -scale, scale),
+            "b": np.zeros(hidden), "u": np.zeros(hidden)}
+
+
 # kind -> (init, pool, pool_backward, out_dim): init(d, hidden, rng) draws the
 # ordered parameter dict; pool takes (B, n, d) features and then the
 # parameters in order; pool_backward returns their gradients in the same
 # order, then d_features or None; out_dim(d) is the pooled width
 POOLS = {
-    "self": (lambda d, hidden, rng: vars(SelfAttnParams.init(d, rng)),
-             self_pool, self_pool_backward, lambda d: d),
-    "relation": (lambda d, hidden, rng: {**vars(SelfAttnParams.init(d, rng)),
-                                         **vars(RelationAttnParams.init(d, rng))},
-                 relation_pool, relation_pool_backward, lambda d: 2 * d),
-    "transformer": (lambda d, hidden, rng: vars(TransformerAttnParams.init(d, hidden, rng)),
-                    transformer_pool, transformer_pool_backward, lambda d: d),
+    "self": (_self_init, self_pool, self_pool_backward, lambda d: d),
+    "relation": (_relation_init, relation_pool, relation_pool_backward, lambda d: 2 * d),
+    "transformer": (_transformer_init, transformer_pool, transformer_pool_backward,
+                    lambda d: d),
 }
-
-
-# --- validated per-sample API (B = 1) ---------------------------------------
-
-
-@dataclass
-class SelfAttnResult:
-    pooled: np.ndarray
-    weights: np.ndarray
-    cache: SelfAttnCache
-
-
-@dataclass
-class RelationAttnResult:
-    pooled: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    cache: RelationAttnCache
-
-
-@dataclass
-class TransformerAttnResult:
-    pooled: np.ndarray
-    gamma: np.ndarray
-    cache: TransformerAttnCache
-
-
-def _upstream(d_pooled, width: int) -> np.ndarray:
-    g = np.asarray(d_pooled, dtype=np.float64)
-    if g.shape != (width,):
-        raise DimMismatch(f"upstream gradient must have shape ({width},), got {g.shape}")
-    return g[None]
-
-
-def self_attend(fs: FeatureSet, params: SelfAttnParams) -> SelfAttnResult:
-    w0 = check_vec(params.w0, "w0")
-    if w0.shape[0] != fs.dim:
-        raise DimMismatch(f"w0 has dim {w0.shape[0]}, features have dim {fs.dim}")
-    pooled, cache = self_pool(fs.vectors[None], w0)
-    return SelfAttnResult(pooled=pooled[0], weights=cache.alpha[0], cache=cache)
-
-
-def self_attend_backward(cache: SelfAttnCache | None, d_pooled: np.ndarray):
-    """Gradients of the self-attention pooling: (d_w0, d_features)."""
-    if cache is None:
-        raise MissingForwardCache("self_attend_backward needs the forward cache")
-    d_w0, d_feats = self_pool_backward(cache, _upstream(d_pooled, cache.w0.shape[0]),
-                                       need_features=True)
-    return d_w0, d_feats[0]
-
-
-def relation_attend(fs: FeatureSet, p0: SelfAttnParams,
-                    p1: RelationAttnParams) -> RelationAttnResult:
-    """Second-stage attention on [f_i : f_s]; pooled output has dimension 2d."""
-    w0 = check_vec(p0.w0, "w0")
-    w1 = check_vec(p1.w1, "w1")
-    if w0.shape[0] != fs.dim:
-        raise DimMismatch(f"w0 has dim {w0.shape[0]}, features have dim {fs.dim}")
-    if w1.shape[0] != 2 * fs.dim:
-        raise DimMismatch(f"w1 has dim {w1.shape[0]}, expected {2 * fs.dim}")
-    pooled, cache = relation_pool(fs.vectors[None], w0, w1)
-    return RelationAttnResult(pooled=pooled[0], alpha=cache.self_cache.alpha[0],
-                              beta=cache.beta[0], cache=cache)
-
-
-def relation_attend_backward(cache: RelationAttnCache | None, d_pooled: np.ndarray):
-    """Returns (d_w0, d_w1, d_features)."""
-    if cache is None:
-        raise MissingForwardCache("relation_attend_backward needs the forward cache")
-    d_w0, d_w1, d_feats = relation_pool_backward(
-        cache, _upstream(d_pooled, cache.w1.shape[0]), need_features=True)
-    return d_w0, d_w1, d_feats[0]
-
-
-def transformer_attend(fs: FeatureSet, params: TransformerAttnParams) -> TransformerAttnResult:
-    w2 = check_mat(params.w2, "w2")
-    b = check_vec(params.b, "b")
-    u = check_vec(params.u, "u")
-    if w2.shape[1] != fs.dim:
-        raise DimMismatch(f"w2 shape {w2.shape} does not match feature dim {fs.dim}")
-    if b.shape[0] != w2.shape[0] or u.shape[0] != w2.shape[0]:
-        raise DimMismatch("b and u must match the hidden dim of w2")
-    pooled, cache = transformer_pool(fs.vectors[None], w2, b, u)
-    # the raw gamma is part of the per-sample result only
-    gamma = np.exp(cache.tanh_h[0] @ u)
-    return TransformerAttnResult(pooled=pooled[0], gamma=gamma, cache=cache)
-
-
-def transformer_attend_backward(cache: TransformerAttnCache | None, d_pooled: np.ndarray):
-    """Returns (d_w2, d_b, d_u, d_features)."""
-    if cache is None:
-        raise MissingForwardCache("transformer_attend_backward needs the forward cache")
-    d_w2, d_b, d_u, d_feats = transformer_pool_backward(
-        cache, _upstream(d_pooled, cache.w2.shape[1]), need_features=True)
-    return d_w2, d_b, d_u, d_feats[0]

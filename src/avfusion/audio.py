@@ -256,6 +256,9 @@ class PatchEmbedParams:
     @classmethod
     def init(cls, grid_h: int, grid_w: int, patch_h: int, patch_w: int,
              channels: int, rng: Rng) -> "PatchEmbedParams":
+        if patch_h < 1 or patch_w < 1:
+            raise GridTooFineForInput(f"grid {grid_h}x{grid_w} too fine for the input: "
+                                      f"its patches would be {patch_h}x{patch_w}")
         pixels = patch_h * patch_w
         scale = 1.0 / np.sqrt(pixels)
         return cls(grid_h=grid_h, grid_w=grid_w, channels=channels,

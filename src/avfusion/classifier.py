@@ -1,7 +1,6 @@
 """Softmax classifier, hand-derived cross-entropy gradients, class re-weighting.
 
-``class_probs`` and ``xent_rows`` work on stacked (B, d_in) rows;
-``softmax_forward`` is the validated single-sample case of ``class_probs``.
+``class_probs`` and ``xent_rows`` work on stacked (B, d_in) rows.
 Training is ``experiment.descend``, the package's one gradient-descent loop.
 Predicted scores can be re-weighted by per-class positive factors
 before the argmax; the default weight vector used by the experiment configs
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch
-from .numeric import check_finite, check_mat, check_vec, softmax
+from .numeric import check_finite, check_vec, softmax
 from .rng import Rng
 
 # square-root sample-count weights for the 7 emotion classes
@@ -75,14 +74,6 @@ def xent_rows(x: np.ndarray, labels: np.ndarray, weight: np.ndarray, bias: np.nd
     loss = -float(np.log(np.maximum(d_logits[rows, labels], 1e-300)).sum())
     d_logits[rows, labels] -= 1.0
     return loss, d_logits.T @ x, d_logits.sum(axis=0), d_logits @ weight
-
-
-def softmax_forward(x: np.ndarray, params: SoftmaxParams) -> ClassScores:
-    x = check_vec(x, "classifier input")
-    w = check_mat(params.weight, "classifier weight")
-    if w.shape[1] != x.shape[0]:
-        raise DimMismatch(f"input dim {x.shape[0]} != weight cols {w.shape[1]}")
-    return ClassScores(probs=class_probs(x[None], params.weight, params.bias)[0])
 
 
 def apply_class_weights(scores: ClassScores, weights: ClassWeights):

@@ -4,18 +4,15 @@ A frame's feature can be enhanced by re-extracting it under a grid of
 rotation/scale/flip variants and aggregating the resulting bag of vectors.
 The aggregators here are pure and permutation-invariant over the bag; actual
 image warping is out of scope, so the transform descriptors exist for
-generators to condition on.  The ``*_rows`` functions work on stacks of N bags
-(N, T, d) or rows (N, d); ``f_mean`` and friends are their validated N=1 case.
+generators to condition on.  They work on stacks of N bags (N, T, d) or rows
+(N, d): F-Mean is ``mean_rows``, F-MeanStd ``meanstd_rows``, F-NormFFT
+``normfft_rows`` and F-AR-Mean ``ar_mean_rows``.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DimMismatch
-from .features import FeatureBag
-from .numeric import check_vec
 
 DEFAULT_ROTATIONS = (-2.0, 0.0, 2.0)
 DEFAULT_SCALES = (1.0, 1.03, 1.07)
@@ -48,14 +45,22 @@ def mean_rows(bags: np.ndarray) -> np.ndarray:
 
 
 def meanstd_rows(bags: np.ndarray) -> np.ndarray:
-    """[mean : population std] of each bag of a (N, T, d) stack: (N, 2d)."""
+    """[mean : population std] of each bag of a (N, T, d) stack: (N, 2d).
+
+    The standard deviation divides by T, not T-1, so a bag of one yields
+    [f : 0].
+    """
     mean = np.mean(bags, axis=1)
     std = np.sqrt(np.mean((bags - mean[:, None, :]) ** 2, axis=1))
     return np.concatenate([mean, std], axis=1)
 
 
 def normfft_rows(basic: np.ndarray) -> np.ndarray:
-    """Energy-normalized Fourier transform of each row of (N, d): (N, 2d)."""
+    """Energy-normalized Fourier transform of each row of (N, d), [re : im]: (N, 2d).
+
+    Each row's spectrum is divided by its total complex l2 energy (one
+    scalar), so a nonzero row yields a unit-norm output.
+    """
     spectrum = np.fft.fft(basic, axis=1)
     energy = np.sqrt(np.sum(spectrum.real ** 2 + spectrum.imag ** 2, axis=1, keepdims=True))
     # a zero row has a zero spectrum and passes through
@@ -64,36 +69,7 @@ def normfft_rows(basic: np.ndarray) -> np.ndarray:
 
 
 def ar_mean_rows(mean_a: np.ndarray, mean_r: np.ndarray) -> np.ndarray:
-    """[mean_a : mean_r] of the rows of two (N, d) mean features: (N, 2d)."""
-    if mean_a.shape != mean_r.shape:
-        raise DimMismatch(f"mean features differ in dim: {mean_a.shape} vs {mean_r.shape}")
+    """[mean_a : mean_r] of the rows of two (N, d) mean features from two
+    extractors: (N, 2d)."""
     return np.concatenate([mean_a, mean_r], axis=1)
 
-
-def f_mean(bag: FeatureBag) -> np.ndarray:
-    """Arithmetic mean of the bag; output dim d."""
-    return mean_rows(bag.vectors[None])[0]
-
-
-def f_meanstd(bag: FeatureBag) -> np.ndarray:
-    """[mean : population std] of the bag; output dim 2d.
-
-    The standard deviation divides by N, not N-1, so a bag of one yields
-    [f : 0].
-    """
-    return meanstd_rows(bag.vectors[None])[0]
-
-
-def f_normfft(basic: np.ndarray) -> np.ndarray:
-    """Fourier transform of a feature vector, energy-normalized, [re : im].
-
-    The spectrum is divided by its total complex l2 energy (one scalar), so
-    any nonzero input yields a unit-norm output; the zero vector passes
-    through as zeros.  Output dim 2d.
-    """
-    return normfft_rows(check_vec(basic, "basic feature")[None])[0]
-
-
-def f_ar_mean(mean_a: np.ndarray, mean_r: np.ndarray) -> np.ndarray:
-    """Concatenation of two mean features from two extractors; output dim 2d."""
-    return ar_mean_rows(check_vec(mean_a, "mean_a")[None], check_vec(mean_r, "mean_r")[None])[0]

@@ -9,9 +9,9 @@ over non-overlapping windows of width k, and l2 normalization:
     out = z / ||z||                  # zero vector passes through unchanged
 
 ``fbp_rows`` and ``fbp_rows_backward`` are the implementation, on rows of a
-batch; ``fbp_fuse`` is the validated eval-mode forward of one pair.
-Concatenation, the other cross-modal fusion, is one line of
-``FusionPipeline.fuse_rows``.
+batch, and ``FusionPipeline`` runs them; ``fbp_fuse`` fuses one pair, the
+validated eval-mode (no dropout) B=1 case.  Concatenation, the other
+cross-modal fusion, is one line of ``FusionPipeline.fuse_rows``.
 
 Each output entry is implicitly a bilinear form a' W_i v with
 W_i = sum_j u_col[(i-1)k+j] v_col[(i-1)k+j]'; ``fbp_expand`` materializes

@@ -1,9 +1,9 @@
 """Ordered sets of equal-dimension feature vectors.
 
-A FeatureSet is the unit every intra-modal fusion consumes: n vectors of a
-common dimension d, stored as an (n, d) float64 array.  The same container
-doubles as the bag of per-transform features that the enhancement
-aggregators reduce.
+A FeatureSet is one sample's input to an intra-modal fusion, and the unit
+that feature files, the synthetic generators and the patch embedder produce:
+n vectors of a common dimension d, validated finite and stored as an (n, d)
+float64 array.  The pipeline stacks equal-size sets into (B, n, d) arrays.
 """
 
 import numpy as np
@@ -42,14 +42,3 @@ class FeatureSet:
     def __repr__(self) -> str:
         return f"FeatureSet(n={self.n}, dim={self.dim})"
 
-    def permuted(self, order) -> "FeatureSet":
-        """New FeatureSet with rows reordered by the given index sequence."""
-        order = np.asarray(order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(self.n)):
-            raise DimMismatch("permutation must reorder exactly the existing rows")
-        return FeatureSet(self.vectors[order])
-
-
-# Enhancement aggregators operate on the same container; the alias keeps call
-# sites readable where order carries no meaning.
-FeatureBag = FeatureSet

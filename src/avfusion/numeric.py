@@ -3,9 +3,8 @@
 Conventions used throughout the package: vectors are 1-D float64 arrays,
 matrices are 2-D row-major float64 arrays, batches stack samples along a
 leading axis.  Non-finite values are rejected once, where data enters the
-package (``check_finite``, ``check_vec``, ``check_mat``); the arithmetic
-primitives below assume validated input.  Fourier transforms are numpy's
-(``np.fft``).
+package (``check_finite``, ``check_vec``); the arithmetic primitives below
+assume validated input.  Fourier transforms are numpy's (``np.fft``).
 """
 
 import numpy as np
@@ -31,14 +30,6 @@ def check_vec(x, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise DimMismatch(f"{name} must be 1-D with at least one entry, got shape {arr.shape}")
-    return check_finite(arr, name)
-
-
-def check_mat(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float64 matrix."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimMismatch(f"{name} must be 2-D with positive shape, got shape {arr.shape}")
     return check_finite(arr, name)
 
 

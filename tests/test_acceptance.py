@@ -9,18 +9,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from avfusion.attention import (RelationAttnParams, SelfAttnParams,
-                                TransformerAttnParams, relation_attend,
-                                self_attend, transformer_attend)
+from avfusion.attention import POOLS
 from avfusion.checks import GRAD_TOL, MODULES, run_module_checks
 from avfusion.classifier import (DEFAULT_CLASS_WEIGHTS, ClassScores, ClassWeights,
                                  apply_class_weights)
 from avfusion.config import ExperimentConfig
-from avfusion.enhance import enumerate_tta, f_ar_mean, f_mean, f_meanstd, f_normfft
+from avfusion.enhance import (ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows,
+                              normfft_rows)
 from avfusion.experiment import run_experiment
 from avfusion.audio import AudioClip, log_mel_3d, speech_spectrogram
 from avfusion.fbp import FBPParams, fbp_expand, fbp_fuse
-from avfusion.features import FeatureBag, FeatureSet
 from avfusion.rng import Rng
 
 
@@ -60,49 +58,50 @@ def test_criterion_2_fbp_factorization_equivalence():
 
 
 def _random_attention_instance(seed: int):
+    """(rng, (n, d) features, parameters by kind); relation reuses self's w0."""
     rng = Rng(seed)
     n, d = rng.randint(6) + 2, rng.randint(7) + 2
-    fs = FeatureSet(rng.normal_mat(n, d))
-    p0 = SelfAttnParams(rng.uniform_vec(d, -1, 1))
-    p1 = RelationAttnParams(rng.uniform_vec(2 * d, -1, 1))
-    pt = TransformerAttnParams(rng.uniform_mat(3, d, -1, 1),
-                               rng.normal_vec(3), rng.normal_vec(3))
-    return rng, fs, p0, p1, pt
+    feats = rng.normal_mat(n, d)
+    w0 = rng.uniform_vec(d, -1, 1)
+    w1 = rng.uniform_vec(2 * d, -1, 1)
+    transformer = (rng.uniform_mat(3, d, -1, 1), rng.normal_vec(3), rng.normal_vec(3))
+    return rng, feats, {"self": (w0,), "relation": (w0, w1), "transformer": transformer}
+
+
+def _pool_one(kind: str, feats: np.ndarray, params) -> np.ndarray:
+    """One (n, d) set pooled by ``POOLS[kind]`` at B=1."""
+    pooled, _ = POOLS[kind][1](feats[None], *params)
+    return pooled[0]
 
 
 def test_criterion_3_attention_invariants():
     instances = 200
     for i in range(instances):
-        rng, fs, p0, p1, pt = _random_attention_instance(30_000 + i)
-        pooled = {"self": self_attend(fs, p0).pooled,
-                  "relation": relation_attend(fs, p0, p1).pooled,
-                  "transformer": transformer_attend(fs, pt).pooled}
+        rng, feats, params = _random_attention_instance(30_000 + i)
+        pooled = {kind: _pool_one(kind, feats, ps) for kind, ps in params.items()}
 
         # permutation invariance within 1e-12
-        perm = list(range(fs.n))
+        perm = list(range(len(feats)))
         rng.shuffle(perm)
-        permuted_fs = fs.permuted(perm)
-        assert np.max(np.abs(self_attend(permuted_fs, p0).pooled - pooled["self"])) < 1e-12
-        assert np.max(np.abs(relation_attend(permuted_fs, p0, p1).pooled
-                             - pooled["relation"])) < 1e-12
-        assert np.max(np.abs(transformer_attend(permuted_fs, pt).pooled
-                             - pooled["transformer"])) < 1e-12
+        for kind, ps in params.items():
+            assert np.max(np.abs(_pool_one(kind, feats[perm], ps) - pooled[kind])) < 1e-12
 
         # n=1 identity, exact
-        single = FeatureSet(fs.vectors[:1])
-        assert np.array_equal(self_attend(single, p0).pooled, fs.vectors[0])
-        assert np.array_equal(relation_attend(single, p0, p1).pooled,
-                              np.concatenate([fs.vectors[0], fs.vectors[0]]))
-        assert np.array_equal(transformer_attend(single, pt).pooled, fs.vectors[0])
+        single = feats[:1]
+        assert np.array_equal(_pool_one("self", single, params["self"]), feats[0])
+        assert np.array_equal(_pool_one("relation", single, params["relation"]),
+                              np.concatenate([feats[0], feats[0]]))
+        assert np.array_equal(_pool_one("transformer", single, params["transformer"]),
+                              feats[0])
 
         # convex hull containment for the d-dimensional poolers
-        lo = fs.vectors.min(axis=0) - 1e-12
-        hi = fs.vectors.max(axis=0) + 1e-12
+        lo = feats.min(axis=0) - 1e-12
+        hi = feats.max(axis=0) + 1e-12
         for kind in ("self", "transformer"):
             assert np.all(pooled[kind] >= lo) and np.all(pooled[kind] <= hi)
 
         # relation trailing block equals the self-attention global vector
-        assert np.array_equal(pooled["relation"][fs.dim:], pooled["self"])
+        assert np.array_equal(pooled["relation"][feats.shape[1]:], pooled["self"])
     _report(3, f"permutation/identity/hull/trailing-block invariants over "
                f"{instances} instances")
 
@@ -163,25 +162,25 @@ def test_criterion_7_enhancement_aggregators():
     rng = Rng(70_007)
     for _ in range(50):
         n, d = rng.randint(17) + 2, rng.randint(7) + 2
-        bag = FeatureBag(rng.normal_mat(n, d))
-        mean = f_mean(bag)
-        meanstd = f_meanstd(bag)
-        normfft = f_normfft(bag.vectors[0])
-        ar = f_ar_mean(mean, mean)
-        assert mean.shape == (d,)
-        assert meanstd.shape == (2 * d,)
-        assert normfft.shape == (2 * d,)
-        assert ar.shape == (2 * d,)
+        bag = rng.normal_mat(n, d)
+        mean = mean_rows(bag[None])
+        meanstd = meanstd_rows(bag[None])
+        normfft = normfft_rows(bag[:1])
+        ar = ar_mean_rows(mean, mean)
+        assert mean.shape == (1, d)
+        assert meanstd.shape == (1, 2 * d)
+        assert normfft.shape == (1, 2 * d)
+        assert ar.shape == (1, 2 * d)
         assert abs(np.linalg.norm(normfft) - 1.0) < 1e-9
 
         perm = list(range(n))
         rng.shuffle(perm)
-        shuffled = bag.permuted(perm)
-        assert np.max(np.abs(f_mean(shuffled) - mean)) < 1e-12
-        assert np.max(np.abs(f_meanstd(shuffled) - meanstd)) < 1e-12
+        shuffled = bag[perm][None]
+        assert np.max(np.abs(mean_rows(shuffled) - mean)) < 1e-12
+        assert np.max(np.abs(meanstd_rows(shuffled) - meanstd)) < 1e-12
 
-        identical = FeatureBag(np.tile(bag.vectors[0], (18, 1)))
-        assert np.max(np.abs(f_meanstd(identical)[d:])) < 1e-12
+        identical = np.tile(bag[0], (18, 1))[None]
+        assert np.max(np.abs(meanstd_rows(identical)[:, d:])) < 1e-12
     _report(7, "aggregator dimension contracts, permutation invariance, "
                "zero std on identical bags, unit-norm FFT, 18 default transforms")
 

@@ -5,210 +5,189 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avfusion.attention import (RelationAttnParams, SelfAttnParams,
-                                TransformerAttnParams, relation_attend,
-                                relation_attend_backward, relation_pool,
-                                relation_pool_backward, self_attend,
-                                self_attend_backward, self_pool, self_pool_backward,
-                                transformer_attend, transformer_attend_backward)
+from avfusion.attention import (POOLS, relation_pool, relation_pool_backward,
+                                self_pool, self_pool_backward)
 from avfusion.checks import check_attention
-from avfusion.errors import DimMismatch, MissingForwardCache
+from avfusion.errors import DimMismatch
+from avfusion.experiment import IntraStage
 from avfusion.features import FeatureSet
 from avfusion.gradcheck import grad_check
 from avfusion.numeric import softmax
 from avfusion.rng import Rng
 
 
-def two_feature_set():
-    return FeatureSet([[1.0, 0.0], [0.0, 1.0]])
+def _pool(kind, feats, *params):
+    """``POOLS[kind]`` at B=1: one (n, d) set -> (pooled vector, cache)."""
+    pooled, cache = POOLS[kind][1](np.asarray(feats, dtype=np.float64)[None], *params)
+    return pooled[0], cache
+
+
+def _backward(kind, cache, upstream):
+    """Parameter gradients, then d_features, of one set at B=1."""
+    *grads, d_feats = POOLS[kind][2](cache, upstream[None], need_features=True)
+    return (*grads, d_feats[0])
+
+
+def two_features():
+    return np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestSelfAttention:
     def test_worked_example(self):
         # oracle: direct scalar evaluation of the gate/average formulas
-        res = self_attend(two_feature_set(), SelfAttnParams(w0=np.array([2.0, 0.0])))
+        pooled, cache = _pool("self", two_features(), np.array([2.0, 0.0]))
         a1 = 1.0 / (1.0 + math.exp(-2.0))
-        assert np.allclose(res.weights, [a1, 0.5], atol=1e-12)
+        assert np.allclose(cache.alpha[0], [a1, 0.5], atol=1e-12)
         expected = np.array([a1, 0.5]) / (a1 + 0.5)
-        assert np.allclose(res.pooled, expected, atol=1e-12)
-        assert np.allclose(res.pooled, [0.637890, 0.362110], atol=1e-6)
+        assert np.allclose(pooled, expected, atol=1e-12)
+        assert np.allclose(pooled, [0.637890, 0.362110], atol=1e-6)
 
     def test_single_feature_pools_to_itself_exactly(self):
         rng = Rng(1)
         f = rng.normal_vec(6)
-        res = self_attend(FeatureSet(f.reshape(1, -1)),
-                          SelfAttnParams(rng.uniform_vec(6, -2, 2)))
-        assert np.array_equal(res.pooled, f)
+        pooled, _ = _pool("self", f.reshape(1, -1), rng.uniform_vec(6, -2, 2))
+        assert np.array_equal(pooled, f)
 
     def test_identical_features_pool_to_that_feature(self):
         rng = Rng(2)
         f = rng.normal_vec(4)
-        fs = FeatureSet(np.tile(f, (5, 1)))
-        res = self_attend(fs, SelfAttnParams(rng.uniform_vec(4, -2, 2)))
-        assert np.allclose(res.pooled, f, atol=1e-12)
+        pooled, _ = _pool("self", np.tile(f, (5, 1)), rng.uniform_vec(4, -2, 2))
+        assert np.allclose(pooled, f, atol=1e-12)
 
     def test_dim_mismatch(self):
+        stage = IntraStage("self", 3, 0, Rng(0))
         with pytest.raises(DimMismatch):
-            self_attend(two_feature_set(), SelfAttnParams(w0=np.ones(3)))
+            stage.forward(FeatureSet(two_features()))
 
     def test_single_feature_gradient_wrt_w0_is_exactly_zero(self):
         rng = Rng(3)
         f = rng.normal_vec(4)
-        res = self_attend(FeatureSet(f.reshape(1, -1)),
-                          SelfAttnParams(rng.uniform_vec(4, -2, 2)))
-        d_w0, _ = self_attend_backward(res.cache, rng.normal_vec(4))
+        _, cache = _pool("self", f.reshape(1, -1), rng.uniform_vec(4, -2, 2))
+        d_w0, _ = _backward("self", cache, rng.normal_vec(4))
         assert np.all(d_w0 == 0.0)
-
-    def test_missing_cache(self):
-        with pytest.raises(MissingForwardCache):
-            self_attend_backward(None, np.zeros(2))
 
 
 class TestRelationAttention:
     def test_worked_example(self):
-        p0 = SelfAttnParams(w0=np.array([2.0, 0.0]))
-        p1 = RelationAttnParams(w1=np.array([1.0, 0.0, 0.0, 0.0]))
-        res = relation_attend(two_feature_set(), p0, p1)
+        pooled, cache = _pool("relation", two_features(), np.array([2.0, 0.0]),
+                              np.array([1.0, 0.0, 0.0, 0.0]))
         b1 = 1.0 / (1.0 + math.exp(-1.0))
-        assert np.allclose(res.beta, [b1, 0.5], atol=1e-12)
-        assert np.allclose(res.pooled, [0.720331, 0.279669, 0.637890, 0.362110], atol=1e-6)
+        assert np.allclose(cache.beta[0], [b1, 0.5], atol=1e-12)
+        assert np.allclose(pooled, [0.720331, 0.279669, 0.637890, 0.362110], atol=1e-6)
 
     def test_single_feature_pools_to_double_concat(self):
         rng = Rng(4)
         f = rng.normal_vec(3)
-        res = relation_attend(FeatureSet(f.reshape(1, -1)),
-                              SelfAttnParams(rng.uniform_vec(3, -1, 1)),
-                              RelationAttnParams(rng.uniform_vec(6, -1, 1)))
-        assert np.array_equal(res.pooled, np.concatenate([f, f]))
+        pooled, _ = _pool("relation", f.reshape(1, -1), rng.uniform_vec(3, -1, 1),
+                          rng.uniform_vec(6, -1, 1))
+        assert np.array_equal(pooled, np.concatenate([f, f]))
 
     def test_trailing_block_equals_global_vector_exactly(self):
         rng = Rng(5)
-        fs = FeatureSet(rng.normal_mat(6, 4))
-        p0 = SelfAttnParams(rng.uniform_vec(4, -1, 1))
-        res_self = self_attend(fs, p0)
-        res_rel = relation_attend(fs, p0, RelationAttnParams(rng.uniform_vec(8, -1, 1)))
-        assert np.array_equal(res_rel.pooled[4:], res_self.pooled)
-
-    def test_missing_cache(self):
-        with pytest.raises(MissingForwardCache):
-            relation_attend_backward(None, np.zeros(4))
+        feats = rng.normal_mat(6, 4)
+        w0 = rng.uniform_vec(4, -1, 1)
+        pooled_self, _ = _pool("self", feats, w0)
+        pooled_rel, _ = _pool("relation", feats, w0, rng.uniform_vec(8, -1, 1))
+        assert np.array_equal(pooled_rel[4:], pooled_self)
 
 
 class TestTransformerAttention:
     def test_worked_example(self):
         # oracle: gamma_1 = exp(tanh(1)), gamma_2 = exp(0); pooled = softmax average
-        fs = FeatureSet([[1.0, 0.0], [0.0, 0.0]])
-        params = TransformerAttnParams(w2=np.array([[1.0, 1.0]]),
-                                       b=np.zeros(1), u=np.ones(1))
-        res = transformer_attend(fs, params)
+        pooled, cache = _pool("transformer", [[1.0, 0.0], [0.0, 0.0]],
+                              np.array([[1.0, 1.0]]), np.zeros(1), np.ones(1))
         g1 = math.exp(math.tanh(1.0))
-        assert np.allclose(res.gamma, [g1, 1.0], atol=1e-12)
-        assert np.allclose(res.pooled, [g1 / (g1 + 1.0), 0.0], atol=1e-12)
+        assert np.allclose(np.exp(cache.tanh_h[0] @ np.ones(1)), [g1, 1.0], atol=1e-12)
+        assert np.allclose(cache.weights[0], np.array([g1, 1.0]) / (g1 + 1.0), atol=1e-12)
+        assert np.allclose(pooled, [g1 / (g1 + 1.0), 0.0], atol=1e-12)
 
     def test_single_feature_pools_to_itself_exactly(self):
         rng = Rng(6)
         f = rng.normal_vec(5)
-        params = TransformerAttnParams(rng.uniform_mat(3, 5, -1, 1),
-                                       rng.normal_vec(3), rng.normal_vec(3))
-        res = transformer_attend(FeatureSet(f.reshape(1, -1)), params)
-        assert np.array_equal(res.pooled, f)
+        pooled, _ = _pool("transformer", f.reshape(1, -1), rng.uniform_mat(3, 5, -1, 1),
+                          rng.normal_vec(3), rng.normal_vec(3))
+        assert np.array_equal(pooled, f)
 
     def test_uniform_gamma_rescale_leaves_pooled_unchanged(self):
         # shifting every score by a constant multiplies every gamma by the
         # same factor exp(c); the normalization quotient must absorb it
         rng = Rng(7)
-        fs = FeatureSet(rng.normal_mat(4, 3))
+        feats = rng.normal_mat(4, 3)
         w2 = rng.uniform_mat(2, 3, -1, 1)
         u = rng.normal_vec(2)
-        base = transformer_attend(fs, TransformerAttnParams(w2, np.zeros(2), u))
-        shifted_scores = base.cache.tanh_h @ u + 123.0
+        pooled, cache = _pool("transformer", feats, w2, np.zeros(2), u)
+        shifted_scores = cache.tanh_h[0] @ u + 123.0
         rescaled = np.exp(shifted_scores - np.max(shifted_scores))
         rescaled /= np.sum(rescaled)
-        assert np.allclose(rescaled @ fs.vectors, base.pooled, atol=1e-12)
+        assert np.allclose(rescaled @ feats, pooled, atol=1e-12)
 
     def test_large_scores_do_not_overflow_pooled(self):
-        fs = FeatureSet([[1.0, 0.0], [0.0, 1.0]])
-        params = TransformerAttnParams(w2=np.array([[400.0, 0.0], [0.0, 400.0]]),
-                                       b=np.zeros(2), u=np.array([500.0, 500.0]))
-        res = transformer_attend(fs, params)
-        assert np.all(np.isfinite(res.pooled))
-
-    def test_missing_cache(self):
-        with pytest.raises(MissingForwardCache):
-            transformer_attend_backward(None, np.zeros(2))
+        pooled, _ = _pool("transformer", two_features(),
+                          np.array([[400.0, 0.0], [0.0, 400.0]]), np.zeros(2),
+                          np.array([500.0, 500.0]))
+        assert np.all(np.isfinite(pooled))
 
 
 def _random_instance(seed):
     rng = Rng(seed)
     n = rng.randint(5) + 2
     d = rng.randint(7) + 2
-    fs = FeatureSet(rng.normal_mat(n, d))
-    return rng, fs
+    return rng, rng.normal_mat(n, d)
 
 
-def _attend_all(fs, rng):
-    d = fs.dim
-    p0 = SelfAttnParams(rng.uniform_vec(d, -1, 1))
-    p1 = RelationAttnParams(rng.uniform_vec(2 * d, -1, 1))
-    pt = TransformerAttnParams(rng.uniform_mat(3, d, -1, 1),
-                               rng.normal_vec(3), rng.normal_vec(3))
-    return {
-        "self": self_attend(fs, p0).pooled,
-        "relation": relation_attend(fs, p0, p1).pooled,
-        "transformer": transformer_attend(fs, pt).pooled,
-    }
+def _random_params(d, rng):
+    """Parameters of every kind, in POOLS order; relation shares self's w0."""
+    w0 = rng.uniform_vec(d, -1, 1)
+    w1 = rng.uniform_vec(2 * d, -1, 1)
+    transformer = (rng.uniform_mat(3, d, -1, 1), rng.normal_vec(3), rng.normal_vec(3))
+    return {"self": (w0,), "relation": (w0, w1), "transformer": transformer}
+
+
+def _attend_all(feats, rng):
+    params = _random_params(feats.shape[1], rng)
+    return {kind: _pool(kind, feats, *ps)[0] for kind, ps in params.items()}
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_permutation_invariance(seed):
-    rng, fs = _random_instance(seed)
-    perm = list(range(fs.n))
+    rng, feats = _random_instance(seed)
+    perm = list(range(len(feats)))
     rng.shuffle(perm)
-    base = _attend_all(fs, Rng(seed + 1000))
-    permuted = _attend_all(fs.permuted(perm), Rng(seed + 1000))
+    base = _attend_all(feats, Rng(seed + 1000))
+    permuted = _attend_all(feats[perm], Rng(seed + 1000))
     for kind in base:
         assert np.max(np.abs(base[kind] - permuted[kind])) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_convex_hull_containment(seed):
-    rng, fs = _random_instance(seed + 500)
-    pooled = _attend_all(fs, rng)
-    lo = fs.vectors.min(axis=0) - 1e-12
-    hi = fs.vectors.max(axis=0) + 1e-12
+    rng, feats = _random_instance(seed + 500)
+    pooled = _attend_all(feats, rng)
+    lo = feats.min(axis=0) - 1e-12
+    hi = feats.max(axis=0) + 1e-12
     for kind in ("self", "transformer"):
         assert np.all(pooled[kind] >= lo) and np.all(pooled[kind] <= hi)
 
 
 def test_permuting_returns_permuted_weights():
-    rng, fs = _random_instance(77)
-    d = fs.dim
-    p0 = SelfAttnParams(rng.uniform_vec(d, -1, 1))
-    p1 = RelationAttnParams(rng.uniform_vec(2 * d, -1, 1))
-    pt = TransformerAttnParams(rng.uniform_mat(3, d, -1, 1),
-                               rng.normal_vec(3), rng.normal_vec(3))
-    perm = list(range(fs.n))
+    rng, feats = _random_instance(77)
+    params = _random_params(feats.shape[1], rng)
+    perm = list(range(len(feats)))
     Rng(78).shuffle(perm)
-    shuffled = fs.permuted(perm)
+    base = {kind: _pool(kind, feats, *ps)[1] for kind, ps in params.items()}
+    shuffled = {kind: _pool(kind, feats[perm], *ps)[1] for kind, ps in params.items()}
 
-    res = self_attend(fs, p0)
-    res_p = self_attend(shuffled, p0)
-    assert np.allclose(res_p.weights, res.weights[perm], atol=1e-15)
-
-    rel = relation_attend(fs, p0, p1)
-    rel_p = relation_attend(shuffled, p0, p1)
-    assert np.allclose(rel_p.alpha, rel.alpha[perm], atol=1e-15)
-    assert np.allclose(rel_p.beta, rel.beta[perm], atol=1e-12)
-
-    tr = transformer_attend(fs, pt)
-    tr_p = transformer_attend(shuffled, pt)
-    assert np.allclose(tr_p.gamma, tr.gamma[perm], atol=1e-12)
+    assert np.allclose(shuffled["self"].alpha[0], base["self"].alpha[0][perm], atol=1e-15)
+    rel, rel_p = base["relation"], shuffled["relation"]
+    assert np.allclose(rel_p.self_cache.alpha[0], rel.self_cache.alpha[0][perm], atol=1e-15)
+    assert np.allclose(rel_p.beta[0], rel.beta[0][perm], atol=1e-12)
+    tr, tr_p = base["transformer"], shuffled["transformer"]
+    assert np.allclose(tr_p.weights[0], tr.weights[0][perm], atol=1e-12)
 
 
 def test_duplicating_a_feature_keeps_output_finite():
-    rng, fs = _random_instance(88)
-    dup = FeatureSet(np.vstack([fs.vectors, fs.vectors[0]]))
-    pooled = _attend_all(dup, rng)
+    rng, feats = _random_instance(88)
+    pooled = _attend_all(np.vstack([feats, feats[0]]), rng)
     for vec in pooled.values():
         assert np.all(np.isfinite(vec))
 
@@ -222,44 +201,26 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradcheck_input_features(self, seed):
         # d_features of every mechanism against central differences
-        rng, fs = _random_instance(seed + 300)
-        d = fs.dim
-        p0 = SelfAttnParams(rng.uniform_vec(d, -1, 1))
-        p1 = RelationAttnParams(rng.uniform_vec(2 * d, -1, 1))
-        pt = TransformerAttnParams(rng.uniform_mat(3, d, -1, 1),
-                                   rng.normal_vec(3), rng.normal_vec(3))
-        mechanisms = {
-            "self": (lambda f: self_attend(f, p0), self_attend_backward, d),
-            "relation": (lambda f: relation_attend(f, p0, p1), relation_attend_backward, 2 * d),
-            "transformer": (lambda f: transformer_attend(f, pt), transformer_attend_backward, d),
-        }
-        for name, (forward, backward, width) in mechanisms.items():
-            upstream = rng.normal_vec(width)
+        rng, feats = _random_instance(seed + 300)
+        d = feats.shape[1]
+        for kind, ps in _random_params(d, rng).items():
+            upstream = rng.normal_vec(POOLS[kind][3](d))
 
-            def loss(ps):
-                res = forward(FeatureSet(ps["features"]))
-                d_feats = backward(res.cache, upstream)[-1]
-                return float(res.pooled @ upstream), {"features": d_feats}
+            def loss(p):
+                pooled, cache = _pool(kind, p["features"], *ps)
+                d_feats = _backward(kind, cache, upstream)[-1]
+                return float(pooled @ upstream), {"features": d_feats}
 
-            err = grad_check(loss, {"features": fs.vectors.copy()})
-            assert err < 1e-4, f"{name}: {err}"
+            err = grad_check(loss, {"features": feats.copy()})
+            assert err < 1e-4, f"{kind}: {err}"
 
     def test_zero_upstream_gives_zero_parameter_gradients(self):
-        rng, fs = _random_instance(99)
-        d = fs.dim
-        p0 = SelfAttnParams(rng.uniform_vec(d, -1, 1))
-        p1 = RelationAttnParams(rng.uniform_vec(2 * d, -1, 1))
-        pt = TransformerAttnParams(rng.uniform_mat(3, d, -1, 1),
-                                   rng.normal_vec(3), rng.normal_vec(3))
-        d_w0, d_f = self_attend_backward(self_attend(fs, p0).cache, np.zeros(d))
-        assert np.all(d_w0 == 0.0) and np.all(d_f == 0.0)
-        d_w0, d_w1, d_f = relation_attend_backward(
-            relation_attend(fs, p0, p1).cache, np.zeros(2 * d))
-        assert np.all(d_w0 == 0.0) and np.all(d_w1 == 0.0) and np.all(d_f == 0.0)
-        d_w2, d_b, d_u, d_f = transformer_attend_backward(
-            transformer_attend(fs, pt).cache, np.zeros(d))
-        for g in (d_w2, d_b, d_u, d_f):
-            assert np.all(g == 0.0)
+        rng, feats = _random_instance(99)
+        d = feats.shape[1]
+        for kind, ps in _random_params(d, rng).items():
+            _, cache = _pool(kind, feats, *ps)
+            for g in _backward(kind, cache, np.zeros(POOLS[kind][3](d))):
+                assert np.all(g == 0.0), kind
 
 
 def _saturated_batch(seed, level):
@@ -327,7 +288,8 @@ class TestSaturatedGates:
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_weights_positive_and_normalizable(seed):
-    rng, fs = _random_instance(seed)
-    res = self_attend(fs, SelfAttnParams(rng.uniform_vec(fs.dim, -3, 3)))
-    assert np.all(res.weights > 0.0)
-    assert abs(np.sum(res.weights / np.sum(res.weights)) - 1.0) < 1e-12
+    rng, feats = _random_instance(seed)
+    _, cache = _pool("self", feats, rng.uniform_vec(feats.shape[1], -3, 3))
+    weights = cache.alpha[0]
+    assert np.all(weights > 0.0)
+    assert abs(np.sum(weights / np.sum(weights)) - 1.0) < 1e-12

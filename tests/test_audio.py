@@ -279,6 +279,11 @@ class TestPatchEmbed:
         params = PatchEmbedParams.init(5, 5, 1, 1, 2, rng)
         with pytest.raises(GridTooFineForInput):
             patch_embed(spec, params)
+        # an empty patch is rejected at init, before anything is drawn
+        rng, twin = Rng(37), Rng(37)
+        with pytest.raises(GridTooFineForInput):
+            PatchEmbedParams.init(4, 4, 0, 50, 2, rng)
+        assert rng.next_u64() == twin.next_u64()
 
     def test_projection_shape_mismatch(self):
         rng = Rng(36)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from avfusion.checks import check_classifier
 from avfusion.classifier import (DEFAULT_CLASS_WEIGHTS, ClassScores, ClassWeights,
-                                 SoftmaxParams, apply_class_weights,
-                                 softmax_forward, xent_rows)
+                                 SoftmaxParams, apply_class_weights, class_probs,
+                                 xent_rows)
 from avfusion.errors import DimMismatch
 from avfusion.experiment import descend
 from avfusion.rng import Rng
@@ -30,25 +30,30 @@ def fit_softmax(xs, ys, params, lr, epochs, rng=None, batch_size=0):
     return SoftmaxParams(**tensors), curve
 
 
+def probs_of(x, params):
+    """Class probabilities of one input vector: ``class_probs`` at B=1, as ClassScores."""
+    return ClassScores(class_probs(x[None], params.weight, params.bias)).probs[0]
+
+
 class TestForward:
     def test_zero_weights_give_uniform(self):
-        scores = softmax_forward(np.array([1.0, -2.0, 0.5]), zero_params())
-        assert np.allclose(scores.probs, np.full(7, 1.0 / 7.0), atol=1e-12)
+        probs = probs_of(np.array([1.0, -2.0, 0.5]), zero_params())
+        assert np.allclose(probs, np.full(7, 1.0 / 7.0), atol=1e-12)
 
     def test_shift_invariance(self):
         rng = Rng(1)
         params = SoftmaxParams(weight=rng.uniform_mat(4, 3, -1, 1), bias=rng.normal_vec(4))
         shifted = SoftmaxParams(weight=params.weight, bias=params.bias + 17.5)
         x = rng.normal_vec(3)
-        a = softmax_forward(x, params).probs
-        b = softmax_forward(x, shifted).probs
+        a = probs_of(x, params)
+        b = probs_of(x, shifted)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_against_naive_exponent_oracle(self):
         rng = Rng(2)
         params = SoftmaxParams(weight=rng.uniform_mat(5, 4, -1, 1), bias=rng.normal_vec(5))
         x = rng.normal_vec(4)
-        probs = softmax_forward(x, params).probs
+        probs = probs_of(x, params)
         logits = params.weight @ x + params.bias
         oracle = np.array([np.exp(z) for z in logits])
         oracle /= np.sum(oracle)
@@ -56,13 +61,9 @@ class TestForward:
 
     def test_huge_logits_do_not_nan(self):
         params = SoftmaxParams(weight=np.array([[1e4], [-1e4]]), bias=np.zeros(2))
-        probs = softmax_forward(np.array([1.0]), params).probs
+        probs = probs_of(np.array([1.0]), params)
         assert np.all(np.isfinite(probs))
         assert abs(np.sum(probs) - 1.0) < 1e-9
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            softmax_forward(np.ones(4), zero_params(d_in=3))
 
 
 class TestGradients:
@@ -98,7 +99,7 @@ class TestTrain:
         xs, ys = separable_blobs()
         params, curve = fit_softmax(xs, ys, zero_params(classes=2, d_in=2),
                                     lr=0.5, epochs=200)
-        preds = [int(np.argmax(softmax_forward(x, params).probs)) for x in xs]
+        preds = [int(np.argmax(probs_of(x, params))) for x in xs]
         acc = np.mean([p == y for p, y in zip(preds, ys)])
         assert acc >= 0.99
 

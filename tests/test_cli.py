@@ -266,6 +266,32 @@ class TestHighRateWav:
         assert _single_error_line(capsys)
 
 
+class TestPatchGridTooFine:
+    """A WAV whose spectrogram is smaller than the patch grid leaves empty patches."""
+
+    def _fuse(self, cfg, wav, tmp_path):
+        save_features(tmp_path / "v.avf", FeatureSet(np.ones((3, 4))))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["fuse", "--config", str(cfg), "--audio", str(wav),
+                       "--visual", str(tmp_path / "v.avf"), "--out", str(tmp_path / "o.avf")])
+        assert [str(w.message) for w in caught] == []
+        return rc
+
+    def test_clip_with_fewer_frames_than_grid_rows(self, cfg_path, tmp_path, capsys):
+        wav = tmp_path / "short.wav"
+        t = np.arange(1000) / 16000  # 3 frames against patch.grid_h=4
+        write_wav(wav, AudioClip(samples=0.3 * np.sin(2 * np.pi * 440 * t), sample_rate=16000))
+        assert self._fuse(cfg_path, wav, tmp_path) == 1
+        assert _single_error_line(capsys)
+
+    def test_grid_wider_than_the_spectrogram(self, wav_path, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(CFG_SMALL + "patch.grid_w=300\n")  # 200 bins
+        assert self._fuse(cfg, wav_path, tmp_path) == 1
+        assert _single_error_line(capsys)
+
+
 class TestDivergence:
     def test_diverging_run_prints_one_error_line_and_no_warnings(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"

@@ -1,13 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from avfusion.checks import check_pipeline
 from avfusion.config import ExperimentConfig
 from avfusion.errors import DimMismatch, EmptyDataset
-from avfusion.experiment import (FusionPipeline, compute_metrics,
+from avfusion.experiment import (FusionPipeline, IntraStage, compute_metrics,
                                  experiment_rngs, prepare_dataset,
                                  run_experiment, split_indices, train_pipeline)
 from avfusion.featfile import load_checkpoint
+from avfusion.features import FeatureSet
 from avfusion.rng import Rng
 
 
@@ -34,6 +37,71 @@ class TestMetrics:
         m = compute_metrics(y_true, y_pred, classes=4)
         assert m.accuracy == np.trace(m.confusion) / m.confusion.sum()
         assert m.confusion.sum(axis=1).tolist() == [y_true.count(c) for c in range(4)]
+
+
+# tensor names and shapes of FusionPipeline(cfg, Rng(11)) for each attention
+# kind and cross mode, with the sha256 of their float64 bytes in that order;
+# a change to any init draw or to the tensor order changes checkpoints
+PINNED_INIT = {
+    ("self", "fbp"): (
+        [("audio.w0", (5,)), ("visual.w0", (3,)), ("fbp.u_tilde", (5, 12)),
+         ("fbp.v_tilde", (3, 12)), ("clf.weight", (3, 6)), ("clf.bias", (3,))],
+        "762c3f150e5e0019d8ec7b76c50e5f5eefeebe5cfd651a895ec5b0ba96ca636a"),
+    ("self", "concat"): (
+        [("audio.w0", (5,)), ("visual.w0", (3,)), ("clf.weight", (3, 8)),
+         ("clf.bias", (3,))],
+        "9d7b34518d53c6f68e72dcc9341fb225d5c4652fc6aa15047119cb5fb070c30e"),
+    ("relation", "fbp"): (
+        [("audio.w0", (5,)), ("audio.w1", (10,)), ("visual.w0", (3,)), ("visual.w1", (6,)),
+         ("fbp.u_tilde", (10, 12)), ("fbp.v_tilde", (6, 12)), ("clf.weight", (3, 6)),
+         ("clf.bias", (3,))],
+        "c59640183926ddfc133e2151ea9cf4d57518b278bab119518b71c18dbf0ba59b"),
+    ("relation", "concat"): (
+        [("audio.w0", (5,)), ("audio.w1", (10,)), ("visual.w0", (3,)), ("visual.w1", (6,)),
+         ("clf.weight", (3, 16)), ("clf.bias", (3,))],
+        "a71bb15a53124580ae362d77c68ba86cc57110ba71d436d3710a81e3212dd9ca"),
+    ("transformer", "fbp"): (
+        [("audio.w2", (4, 5)), ("audio.b", (4,)), ("audio.u", (4,)), ("visual.w2", (4, 3)),
+         ("visual.b", (4,)), ("visual.u", (4,)), ("fbp.u_tilde", (5, 12)),
+         ("fbp.v_tilde", (3, 12)), ("clf.weight", (3, 6)), ("clf.bias", (3,))],
+        "d6a1b10350f315a708f23bacb1fb26ae6136a8f63748ef22780eca8f12766c61"),
+    ("transformer", "concat"): (
+        [("audio.w2", (4, 5)), ("audio.b", (4,)), ("audio.u", (4,)), ("visual.w2", (4, 3)),
+         ("visual.b", (4,)), ("visual.u", (4,)), ("clf.weight", (3, 8)), ("clf.bias", (3,))],
+        "53acb06e8c13273ae4c84907f80a30933276cd898d12d316b329ac442a920671"),
+}
+
+
+@pytest.mark.parametrize("kind, cross_mode", sorted(PINNED_INIT))
+def test_init_draws_are_pinned(kind, cross_mode):
+    cfg = ExperimentConfig(audio_dim=5, visual_dim=3, attn_hidden=4, fbp_k=2, fbp_o=6,
+                           classes=3, audio_fusion=kind, visual_fusion=kind,
+                           cross_mode=cross_mode)
+    tensors = FusionPipeline(cfg, Rng(11)).tensors()
+    digest = hashlib.sha256()
+    for arr in tensors.values():
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    shapes, want = PINNED_INIT[kind, cross_mode]
+    assert [(name, arr.shape) for name, arr in tensors.items()] == shapes
+    assert digest.hexdigest() == want
+
+
+class TestIntraStage:
+    @pytest.mark.parametrize("kind", ["self", "relation", "transformer"])
+    def test_forward_rejects_the_wrong_feature_dim(self, kind):
+        stage = IntraStage(kind, 4, 3, Rng(12))
+        with pytest.raises(DimMismatch):
+            stage.forward(FeatureSet(np.ones((2, 5))))
+
+    @pytest.mark.parametrize("kind", ["self", "relation", "transformer"])
+    def test_forward_is_row_0_of_pool(self, kind):
+        rng = Rng(13)
+        stage = IntraStage(kind, 4, 3, rng)
+        feats = rng.normal_mat(3, 4)
+        pooled, _ = stage.forward(FeatureSet(feats))
+        rows, _ = stage.pool(feats[None])
+        assert pooled.shape == (stage.out_dim,)
+        assert pooled.tobytes() == rows[0].tobytes()
 
 
 class TestSplit:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from avfusion.audio import FFT_SIZE, _spectrum
 from avfusion.errors import AvfusionError, DimMismatch, NonFiniteValue
-from avfusion.numeric import check_mat, check_vec, sigmoid, softmax
+from avfusion.numeric import check_finite, check_vec, sigmoid, softmax
 from avfusion.rng import Rng
 
 
@@ -89,7 +89,7 @@ def test_validators_reject_nan():
     with pytest.raises(ValueError):
         check_vec(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
-        check_mat(np.array([[np.inf, 1.0]]))
+        check_finite(np.array([[np.inf, 1.0]]), "matrix")
     with pytest.raises(DimMismatch):
         check_vec(np.ones((2, 2)))
 

@@ -1,0 +1,53 @@
+"""Repository-level checks: the README's code runs, and no public helper of
+the package exists only for the tests."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "avfusion"
+
+# public names kept for the tests on purpose: a WAV writer for fixtures, and
+# the explicit bilinear model that FBP is checked against
+TEST_ONLY = {"write_wav", "fbp_expand"}
+
+
+def _referenced_names(node) -> set:
+    """Names a syntax tree uses as code (docstrings and other strings do not count)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks, "README.md has no python code block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    definitions = {}  # name -> (module file, defining node)
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            own = None
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                definitions[node.name] = path.name
+                own = node.name
+            # re-exports from the package root are not callers; neither is
+            # a definition's own body
+            if path.name != "__init__.py":
+                used |= _referenced_names(node) - {own}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _referenced_names(ast.parse(path.read_text()))
+    unused = sorted(f"{module}:{name}" for name, module in definitions.items()
+                    if name not in used and name not in TEST_ONLY)
+    assert not unused, f"public names that only the tests reference: {unused}"

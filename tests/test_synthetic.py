@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from avfusion import synthetic
-from avfusion.classifier import SoftmaxParams, softmax_forward
+from avfusion.classifier import SoftmaxParams, class_probs
 from avfusion.config import ExperimentConfig
-from avfusion.enhance import enumerate_tta, f_ar_mean, f_mean, f_meanstd, f_normfft
+from avfusion.enhance import (ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows,
+                              normfft_rows)
 from avfusion.errors import InvalidConfig
-from avfusion.features import FeatureBag, FeatureSet
+from avfusion.features import FeatureSet
 from avfusion.rng import Rng
 from avfusion.synthetic import enhanced_dim, gen_synthetic
 from test_classifier import fit_softmax
@@ -84,8 +85,8 @@ class TestInteraction:
             ys = [sample[2] for sample in ds.samples]
             params = SoftmaxParams(weight=np.zeros((2, 6)), bias=np.zeros(2))
             trained, _ = fit_softmax(xs, ys, params, lr=0.5, epochs=60)
-            preds = [int(np.argmax(softmax_forward(x, trained).probs)) for x in xs]
-            acc = float(np.mean([p == y for p, y in zip(preds, ys)]))
+            preds = np.argmax(class_probs(np.array(xs), trained.weight, trained.bias), axis=1)
+            acc = float(np.mean(preds == np.array(ys)))
             assert 0.45 <= acc <= 0.55
 
     def test_labels_balanced_roughly(self):
@@ -135,23 +136,24 @@ class LoopConditioner:
         return out
 
     def bag(self, x, transforms):
-        return FeatureBag([self.variant(x, t) for t in transforms])
+        """The (1, T, d) stack of one frame's transform variants."""
+        return np.array([[self.variant(x, t) for t in transforms]])
 
 
 def loop_enhancer(cfg, rng):
     if cfg.enhance_mode == "none":
         return lambda x: x
     if cfg.enhance_mode == "normfft":
-        return f_normfft
+        return lambda x: normfft_rows(x[None])[0]
     transforms = enumerate_tta(cfg.tta_rotations, cfg.tta_scales, flip=True)
     cond = LoopConditioner(cfg.visual_dim, rng)
     if cfg.enhance_mode == "mean":
-        return lambda x: f_mean(cond.bag(x, transforms))
+        return lambda x: mean_rows(cond.bag(x, transforms))[0]
     if cfg.enhance_mode == "meanstd":
-        return lambda x: f_meanstd(cond.bag(x, transforms))
+        return lambda x: meanstd_rows(cond.bag(x, transforms))[0]
     cond_r = LoopConditioner(cfg.visual_dim, rng)
-    return lambda x: f_ar_mean(f_mean(cond.bag(x, transforms)),
-                               f_mean(cond_r.bag(x, transforms)))
+    return lambda x: ar_mean_rows(mean_rows(cond.bag(x, transforms)),
+                                  mean_rows(cond_r.bag(x, transforms)))[0]
 
 
 def loop_gen_synthetic(cfg, rng):
