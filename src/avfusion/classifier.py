@@ -64,16 +64,21 @@ def class_probs(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 
 def xent_rows(x: np.ndarray, labels: np.ndarray, weight: np.ndarray, bias: np.ndarray):
-    """Summed cross-entropy over rows and its hand-derived gradients.
+    """Summed cross-entropy over rows, and a thunk for its hand-derived gradients.
 
-    Returns (loss sum, d_weight, d_bias, d_x): parameter gradients are summed
-    over the rows, d_x is per row; d_logits = probs - onehot(label).
+    Returns (loss sum, backward); ``backward()`` returns (d_weight, d_bias,
+    d_x): parameter gradients are summed over the rows, d_x is per row;
+    d_logits = probs - onehot(label).
     """
-    d_logits = class_probs(x, weight, bias)
+    probs = class_probs(x, weight, bias)
     rows = np.arange(labels.shape[0])
-    loss = -float(np.log(np.maximum(d_logits[rows, labels], 1e-300)).sum())
-    d_logits[rows, labels] -= 1.0
-    return loss, d_logits.T @ x, d_logits.sum(axis=0), d_logits @ weight
+    loss = -float(np.log(np.maximum(probs[rows, labels], 1e-300)).sum())
+
+    def backward():
+        d_logits = probs - (np.arange(probs.shape[1]) == labels[:, None])
+        return d_logits.T @ x, d_logits.sum(axis=0), d_logits @ weight
+
+    return loss, backward
 
 
 def apply_class_weights(scores: ClassScores, weights: ClassWeights):

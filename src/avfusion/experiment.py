@@ -183,27 +183,32 @@ class FusionPipeline:
         return fused, (a_cache, v_cache, f_cache)
 
     def batch_loss(self, audio, visual, labels, mask_scale=None):
-        """Summed loss and hand-chained gradients over stacked rows.
+        """Summed loss over stacked rows, and a thunk for the hand-chained gradient dict.
 
-        ``mask_scale`` is the (B, k*o) rescaled FBP dropout mask, None for
-        no dropout.
+        Call ``backward()`` before changing a parameter: the caches hold the
+        arrays.  ``mask_scale`` is the (B, k*o) rescaled FBP dropout mask,
+        None for no dropout.
         """
         fused, (a_cache, v_cache, f_cache) = self.fuse_rows(audio, visual, mask_scale)
-        loss, d_weight, d_bias, d_fused = xent_rows(fused, labels, self.clf.weight,
-                                                    self.clf.bias)
-        grads = {"clf.weight": d_weight, "clf.bias": d_bias}
-        if f_cache is not None:
-            d_u, d_v_tilde, d_a, d_v = fbp.fbp_rows_backward(f_cache, d_fused)
-            grads["fbp.u_tilde"] = d_u
-            grads["fbp.v_tilde"] = d_v_tilde
-        else:
-            d_a = d_fused[:, :self.audio.out_dim]
-            d_v = d_fused[:, self.audio.out_dim:]
-        for prefix, stage, cache, d_vec in (("audio", self.audio, a_cache, d_a),
-                                            ("visual", self.visual, v_cache, d_v)):
-            for name, g in stage.backward(cache, d_vec).items():
-                grads[f"{prefix}.{name}"] = g
-        return loss, grads
+        loss, xent_backward = xent_rows(fused, labels, self.clf.weight, self.clf.bias)
+
+        def backward():
+            d_weight, d_bias, d_fused = xent_backward()
+            grads = {"clf.weight": d_weight, "clf.bias": d_bias}
+            if f_cache is not None:
+                d_u, d_v_tilde, d_a, d_v = fbp.fbp_rows_backward(f_cache, d_fused)
+                grads["fbp.u_tilde"] = d_u
+                grads["fbp.v_tilde"] = d_v_tilde
+            else:
+                d_a = d_fused[:, :self.audio.out_dim]
+                d_v = d_fused[:, self.audio.out_dim:]
+            for prefix, stage, cache, d_vec in (("audio", self.audio, a_cache, d_a),
+                                                ("visual", self.visual, v_cache, d_v)):
+                for name, g in stage.backward(cache, d_vec).items():
+                    grads[f"{prefix}.{name}"] = g
+            return grads
+
+        return loss, backward
 
     def update_loss(self, audio, visual, labels, key: int | None = None):
         """Summed loss and gradients of one update, walked in row blocks.
@@ -217,12 +222,12 @@ class FusionPipeline:
         for r0 in range(0, len(labels), step):
             r1 = min(r0 + step, len(labels))
             mask = None if key is None else fbp.dropout_scale(key, r0, r1, self.fbp_params)
-            loss, grads = self.batch_loss(audio[r0:r1], visual[r0:r1], labels[r0:r1], mask)
+            loss, backward = self.batch_loss(audio[r0:r1], visual[r0:r1], labels[r0:r1], mask)
             total += loss
             if acc is None:
-                acc = grads
+                acc = backward()
             else:
-                for name, g in grads.items():
+                for name, g in backward().items():
                     acc[name] += g
         return total, acc
 

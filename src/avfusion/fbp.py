@@ -19,14 +19,15 @@ those matrices so the factorized path can be checked against the explicit
 bilinear model.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch
+from .errors import DimMismatch, NumericalDivergence
 from .numeric import check_vec
-from .rng import Rng, counter_uniform
+from .rng import Rng, counter_u64
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -73,6 +74,9 @@ class FBPCache(NamedTuple):
     z: np.ndarray             # (B, o) pre-norm pooled rows
     out: np.ndarray           # (B, o) fused rows
     denom: np.ndarray | None  # (B, 1) |z|, or 1 where z = 0; None without normalization
+    # (rows, their (R, 1) peaks) where a nonzero |z|^2 underflowed, and denom
+    # holds |z| / peak; None when no row did
+    tiny: tuple | None
 
 
 @dataclass
@@ -84,14 +88,17 @@ class FBPResult:
 def dropout_scale(key: int, first_row: int, stop_row: int, params: FBPParams) -> np.ndarray:
     """Rescaled dropout mask for rows first_row..stop_row-1 of one update.
 
-    Entry (r, c) keeps its unit when counter ``r * k*o + c`` of the
-    counter stream under ``key`` is at least p, and is then 1/(1-p), else 0.
-    A row's mask depends only on its row number, never on how the update is
-    split into blocks.
+    Entry (r, c) keeps its unit when the uniform u = (raw >> 11) / 2^53 from
+    counter ``r * k*o + c`` of the counter stream under ``key`` is at least
+    p, and is then 1/(1-p), else 0.  Since p * 2^53 is exact, u >= p is
+    compared on the raw outputs as raw >= ceil(p * 2^53) << 11, which stays
+    below 2^64 for p < 1.  A row's mask depends only on its row number,
+    never on how the update is split into blocks.
     """
     ko = params.k * params.o
-    u = counter_uniform(key, first_row * ko, stop_row * ko).reshape(-1, ko)
-    return np.where(u >= params.dropout_p, 1.0 / (1.0 - params.dropout_p), 0.0)
+    threshold = np.uint64(math.ceil(params.dropout_p * (1 << 53)) << 11)
+    raw = counter_u64(key, first_row * ko, stop_row * ko).reshape(-1, ko)
+    return np.where(raw >= threshold, 1.0 / (1.0 - params.dropout_p), 0.0)
 
 
 def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
@@ -103,6 +110,7 @@ def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
     if mask_scale is not None:
         h *= mask_scale
     z = h.reshape(-1, params.o, params.k).sum(axis=2)
+    tiny = None
     if normalize:
         # a sum of squares that overflows, or underflows on a nonzero row,
         # is recomputed scaled by the row's largest entry
@@ -111,16 +119,26 @@ def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
         z_norm = np.sqrt(sq)
         if not _TINY <= sq.min() <= sq.max() < np.inf:
             extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
-            rows = z[extreme]
-            peak = np.abs(rows).max(axis=1, keepdims=True)
+            peak = np.abs(z[extreme]).max(axis=1, keepdims=True)
             peak[peak == 0.0] = 1.0  # a zero row keeps norm 0
-            z_norm[extreme] = peak * np.sqrt(((rows / peak) ** 2).sum(axis=1, keepdims=True))
+            scaled = z[extreme] / peak
+            unit_norm = np.sqrt((scaled ** 2).sum(axis=1, keepdims=True))
+            z_norm[extreme] = peak * unit_norm
+            low = (sq[extreme, 0] < _TINY) & (unit_norm[:, 0] > 0.0)
+            if low.any():
+                tiny = extreme[low], peak[low]
         # |z|, or 1 where z = 0 so that a zero vector passes through unchanged
         denom = z_norm + (z_norm == 0.0)
         out = z / denom
+        if tiny is not None:
+            # a nonzero row whose |z|^2 underflowed stays in scaled form: z/peak
+            # over |z|/peak loses no bits to the subnormal |z|, and the
+            # backward's division by |z| cannot overflow
+            denom[tiny[0]] = unit_norm[low]
+            out[tiny[0]] = scaled[low] / denom[tiny[0]]
     else:
         denom, out = None, z
-    return out, FBPCache(a, v, params, proj_a, proj_v, mask_scale, z, out, denom)
+    return out, FBPCache(a, v, params, proj_a, proj_v, mask_scale, z, out, denom, tiny)
 
 
 def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
@@ -130,7 +148,8 @@ def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
     """
     params = cache.params
     if cache.denom is not None:
-        # out = z/|z|: d_z = (g - (g.out) out) / |z|; zero rows give d_z = g
+        # out = z/|z|: d_z = (g - (g.out) out) / |z|; zero rows give d_z = g,
+        # and the tiny rows peak * d_z
         d_z = (g - (g * cache.out).sum(axis=1, keepdims=True) * cache.out) / cache.denom
     else:
         d_z = g
@@ -139,6 +158,16 @@ def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
         d_h *= cache.mask_scale
     d_proj_a = d_h * cache.proj_v
     d_proj_v = d_h * cache.proj_a
+    if cache.tiny is not None:
+        # scaled by the projections first, the division by the peak is
+        # finite wherever the projection gradients are representable
+        rows, peak = cache.tiny
+        with np.errstate(over="ignore"):
+            d_proj_a[rows] /= peak
+            d_proj_v[rows] /= peak
+        if not (np.isfinite(d_proj_a[rows]).all() and np.isfinite(d_proj_v[rows]).all()):
+            raise NumericalDivergence("FBP backward: on a row with a subnormal |z|, the "
+                                      "projection gradients overflow float64")
     d_u = cache.a.T @ d_proj_a
     d_v_tilde = cache.v.T @ d_proj_v
     d_a = d_proj_a @ params.u_tilde.T

@@ -13,17 +13,21 @@ def grad_check(loss_fn, params: dict, epsilon: float = 1e-5) -> float:
     """Compare analytic gradients against central differences.
 
     ``loss_fn`` maps the ``params`` dict (name -> float64 array) to a tuple
-    ``(loss, grads)`` where ``grads`` holds one array per parameter with the
-    same shape.  The function must be deterministic: any internal dropout has
-    to be disabled or run with a frozen mask.  Parameters are perturbed in
-    place and restored.
+    ``(loss, backward)``; ``backward()`` returns one gradient array per
+    parameter, of its shape.  Of the 2 + 2P evaluations (P entries) only the
+    first needs gradients, so its ``backward`` runs once, before any entry is
+    perturbed: the forward's caches hold the parameter arrays, not copies.
+    The function must be deterministic: any internal dropout has to be
+    disabled or run with a frozen mask.  Parameters are perturbed in place and
+    restored.
 
     Returns the maximum over all parameter entries of
     ``|g_analytic - g_numeric| / max(|g_analytic|, |g_numeric|, 1e-8)``.
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
-    loss0, grads = loss_fn(params)
+    loss0, backward = loss_fn(params)
+    grads = backward()
     loss1, _ = loss_fn(params)
     if loss0 != loss1:
         raise NonDeterministicLoss(

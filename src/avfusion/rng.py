@@ -92,11 +92,8 @@ def _unit(raw: np.ndarray) -> np.ndarray:
     return raw * (1.0 / (1 << 53))
 
 
-def counter_uniform(key: int, start: int, stop: int) -> np.ndarray:
-    """Uniforms in [0, 1) for counters start..stop-1 of the stream under ``key``.
-
-    Each value has 53 random mantissa bits, as in ``Rng.uniform``.
-    """
+def counter_u64(key: int, start: int, stop: int) -> np.ndarray:
+    """Raw 64-bit outputs for counters start..stop-1 of the stream under ``key``."""
     x = np.arange(start + 1, stop + 1, dtype=np.uint64)
     x *= np.uint64(_GOLDEN)
     x += np.uint64(int(key) & _MASK64)
@@ -105,7 +102,7 @@ def counter_uniform(key: int, start: int, stop: int) -> np.ndarray:
     x ^= x >> np.uint64(27)
     x *= np.uint64(_MIX2)
     x ^= x >> np.uint64(31)
-    return _unit(x)
+    return x
 
 
 class Rng:

@@ -208,8 +208,8 @@ class TestBackward:
 
             def loss(p):
                 pooled, cache = _pool(kind, p["features"], *ps)
-                d_feats = _backward(kind, cache, upstream)[-1]
-                return float(pooled @ upstream), {"features": d_feats}
+                return float(pooled @ upstream), lambda: {
+                    "features": _backward(kind, cache, upstream)[-1]}
 
             err = grad_check(loss, {"features": feats.copy()})
             assert err < 1e-4, f"{kind}: {err}"
@@ -269,18 +269,18 @@ class TestSaturatedGates:
         params = {"w0": w0, "w1": w1} if kind == "relation" else {"w0": w0}
         params["features"] = feats
 
+        pool, pool_backward = ((relation_pool, relation_pool_backward) if kind == "relation"
+                               else (self_pool, self_pool_backward))
+
         def loss(ps):
             ws = [ps[k] for k in ps if k != "features"]
-            if kind == "relation":
-                pooled, cache = relation_pool(ps["features"], *ws)
-                *grads, d_feats = relation_pool_backward(cache, upstream, need_features=True)
-            else:
-                pooled, cache = self_pool(ps["features"], *ws)
-                *grads, d_feats = self_pool_backward(cache, upstream, need_features=True)
+            pooled, cache = pool(ps["features"], *ws)
+            # run eagerly: the gradients at the perturbed points must be finite too
+            *grads, d_feats = pool_backward(cache, upstream, need_features=True)
             for g in (*grads, d_feats):
                 assert np.all(np.isfinite(g))
-            return float(np.sum(pooled * upstream)), {**dict(zip(ps, grads)),
-                                                      "features": d_feats}
+            return (float(np.sum(pooled * upstream)),
+                    lambda: {**dict(zip(ps, grads)), "features": d_feats})
 
         assert grad_check(loss, params) < 1e-4
 

@@ -10,7 +10,7 @@ from avfusion.errors import DimMismatch
 from avfusion.experiment import FusionPipeline, prepare_dataset, stack_samples, train_pipeline
 from avfusion.features import FeatureSet
 from avfusion.gradcheck import grad_check
-from avfusion.rng import Rng, _GOLDEN, _MASK64, _splitmix64, counter_uniform
+from avfusion.rng import Rng, _GOLDEN, _MASK64, _splitmix64, counter_u64
 
 KEY = 0x0123456789ABCDEF
 
@@ -55,8 +55,9 @@ def test_batched_update_equals_sum_of_single_samples(overrides, block_floats, mo
     ref_loss, ref = 0.0, None
     for r in range(len(labels)):
         rows = slice(r, r + 1)
-        one_loss, one = model.batch_loss(audio[rows], visual[rows], labels[rows],
-                                         None if mask is None else mask[rows])
+        one_loss, backward = model.batch_loss(audio[rows], visual[rows], labels[rows],
+                                              None if mask is None else mask[rows])
+        one = backward()
         ref_loss += one_loss
         ref = one if ref is None else {k: ref[k] + one[k] for k in ref}
     assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
@@ -74,10 +75,32 @@ def test_batched_predictions_equal_single_sample_predictions(overrides):
 
 
 def test_counter_stream_is_splitmix64_under_the_key():
-    got = counter_uniform(KEY, 3, 8)
-    want = [(_splitmix64((KEY + i * _GOLDEN) & _MASK64) >> 11) / float(1 << 53)
-            for i in range(3, 8)]
-    assert got.tolist() == want
+    got = counter_u64(KEY, 3, 8)
+    want = [_splitmix64((KEY + i * _GOLDEN) & _MASK64) for i in range(3, 8)]
+    assert got.dtype == np.uint64 and got.tolist() == want
+
+
+def _float_compare_mask(raw, p):
+    """The mask as uniforms in [0, 1) compared with p: the integer threshold's reference."""
+    u = (raw >> np.uint64(11)) * (1.0 / (1 << 53))
+    return np.where(u >= p, 1.0 / (1.0 - p), 0.0)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, np.nextafter(1.0, 0.0)])
+def test_integer_threshold_mask_equals_float_compare_mask(p, monkeypatch):
+    params = fbp.FBPParams.init(3, 4, 3, 4, p, Rng(1))
+    ko = params.k * params.o
+    got = fbp.dropout_scale(KEY, 5, 205, params)
+    want = _float_compare_mask(counter_u64(KEY, 5 * ko, 205 * ko), p).reshape(-1, ko)
+    assert got.tobytes() == want.tobytes()
+    # raw outputs on either side of the threshold, where the two could part
+    cut = int(np.ceil(p * 2.0 ** 53)) << 11
+    edges = sorted({min(max(cut + d, 0), (1 << 64) - 1)
+                    for d in (-2049, -2048, -1, 0, 1, 2047, 2048)} | {0, (1 << 64) - 1})
+    raw = np.array(edges, dtype=np.uint64).repeat(ko)  # one edge per row
+    monkeypatch.setattr(fbp, "counter_u64", lambda key, start, stop: raw[:stop - start])
+    got = fbp.dropout_scale(KEY, 0, len(edges), params)
+    assert got.tobytes() == _float_compare_mask(raw, p).reshape(-1, ko).tobytes()
 
 
 def test_row_mask_does_not_depend_on_block_split():
@@ -92,7 +115,8 @@ def test_row_mask_does_not_depend_on_block_split():
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
 def test_survival_rate_within_three_sigma(p):
     draws = 100_000
-    kept = np.mean(counter_uniform(KEY + 1, 0, draws) >= p)
+    params = fbp.FBPParams.init(1, 1, 1, 1, p, Rng(1))
+    kept = np.mean(fbp.dropout_scale(KEY + 1, 0, draws, params) > 0.0)
     sigma = np.sqrt(p * (1.0 - p) / draws)
     assert abs(kept - (1.0 - p)) <= 3.0 * sigma
 
@@ -151,9 +175,24 @@ def test_pipeline_gradients_with_frozen_dropout_mask_at_b3(kind):
     mask = fbp.dropout_scale(KEY, 0, 3, model.fbp_params)
     assert np.any(mask == 0.0) and np.any(mask > 0.0)
 
-    def loss(ps):
-        model.set_tensors(ps)
-        return model.batch_loss(audio, visual, labels, mask)
+    assert grad_check(lambda _: model.batch_loss(audio, visual, labels, mask),
+                      model.tensors()) < GRAD_TOL
 
-    params = {k: v.copy() for k, v in model.tensors().items()}
-    assert grad_check(loss, params) < GRAD_TOL
+
+@pytest.mark.parametrize("overrides", CONFIGS)
+def test_in_place_tensor_changes_reach_the_forward(overrides):
+    # check_pipeline perturbs the arrays of model.tensors() in place, with no
+    # set_tensors: the forward must read those very arrays
+    model, (audio, visual, labels) = _rows_of_update(overrides, count=4)
+    rng = Rng(9)
+    for arr in model.tensors().values():  # transformer's u starts at 0, hiding w2
+        arr += rng.normal_vec(arr.size, 0.0, 0.5).reshape(arr.shape)
+    base, _ = model.batch_loss(audio, visual, labels)
+    for name, arr in model.tensors().items():
+        orig = arr.flat[0]
+        arr.flat[0] = orig + 1e-3
+        bumped, _ = model.batch_loss(audio, visual, labels)
+        arr.flat[0] = orig
+        restored, _ = model.batch_loss(audio, visual, labels)
+        assert bumped != base, name
+        assert repr(restored) == repr(base), name

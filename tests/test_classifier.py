@@ -22,8 +22,9 @@ def fit_softmax(xs, ys, params, lr, epochs, rng=None, batch_size=0):
     tensors = {"weight": params.weight.copy(), "bias": params.bias.copy()}
 
     def step(batch):
-        loss, d_w, d_b, _ = xent_rows(xs[batch], ys[batch], tensors["weight"],
-                                      tensors["bias"])
+        loss, backward = xent_rows(xs[batch], ys[batch], tensors["weight"],
+                                   tensors["bias"])
+        d_w, d_b, _ = backward()
         return loss, {"weight": d_w, "bias": d_b}
 
     curve = descend(tensors, len(ys), step, epochs, lr, rng, batch_size)
@@ -71,7 +72,8 @@ class TestGradients:
         # with zero params probs are uniform; d loss / d logit_y = 1/C - 1
         params = zero_params(classes=7, d_in=2)
         x = np.array([1.0, 0.0])
-        _, d_w, d_b, _ = xent_rows(x[None], np.array([3]), params.weight, params.bias)
+        _, backward = xent_rows(x[None], np.array([3]), params.weight, params.bias)
+        d_w, d_b, _ = backward()
         assert abs(d_b[3] - (1.0 / 7.0 - 1.0)) < 1e-12
         others = np.delete(d_b, 3)
         assert np.allclose(others, 1.0 / 7.0, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from avfusion.checks import check_fbp
-from avfusion.errors import DimMismatch
+from avfusion.errors import DimMismatch, NumericalDivergence
 from avfusion.fbp import (FBPParams, dropout_scale, fbp_expand, fbp_fuse, fbp_rows,
                           fbp_rows_backward)
 from avfusion.rng import Rng
@@ -168,3 +168,26 @@ class TestExtremeScales:
         out, _ = fbp_rows(np.array([[0.0], [1e-85], [1e200]]), np.array([[3.0], [1e-85], [1e100]]),
                           params)
         assert out.tolist() == [[0.0], [1.0], [1.0]]
+
+    def test_subnormal_norm_row_keeps_finite_gradients(self):
+        # |z| is about 4e-311: the backward used to overflow dividing by it
+        params = FBPParams.init(3, 3, 2, 4, 0.0, Rng(1))
+        g = Rng(2).normal_mat(1, 4)
+        base_out, base_cache = fbp_rows(np.ones((1, 3)), np.ones((1, 3)), params)
+        out, cache = fbp_rows(np.full((1, 3), 1e-155), np.full((1, 3), 1e-155), params)
+        assert cache.tiny is not None
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+        assert np.max(np.abs(out - base_out)) <= 1e-11
+        # out has degree 0 in a and in v: the projection gradients keep their
+        # size, d_a and d_v grow by 1/1e-155
+        grads = fbp_rows_backward(cache, g)
+        for got, want, scale in zip(grads, fbp_rows_backward(base_cache, g),
+                                    (1.0, 1.0, 1e-155, 1e-155)):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got * scale - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_unrepresentable_subnormal_row_gradient_raises(self):
+        params = FBPParams.init(3, 3, 2, 4, 0.0, Rng(1))
+        _, cache = fbp_rows(np.full((1, 3), 1e-310), np.full((1, 3), 1e-5), params)
+        with pytest.raises(NumericalDivergence, match="FBP"):
+            fbp_rows_backward(cache, np.ones((1, 4)))
