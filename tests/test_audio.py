@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avfusion.audio import (AudioClip, PatchEmbedParams, Spectrogram,
+from avfusion import audio
+from avfusion.audio import (AudioClip, PatchEmbedParams, Spectrogram, deltas,
                             frame_signal, log_mel_3d, mel_filterbank,
                             patch_embed, patch_embed_backward, read_wav,
                             speech_spectrogram, write_wav)
@@ -191,10 +192,91 @@ def test_high_rate_window_longer_than_fft_raises_plain_value_error(rate, featuri
     assert type(exc.value) is ValueError
 
 
+def _refuse_framing(*args, **kwargs):
+    raise AssertionError("framed a clip whose window exceeds the FFT")
+
+
+@pytest.mark.parametrize("rate", [44100, 48000])
+@pytest.mark.parametrize("featurize", [speech_spectrogram, log_mel_3d])
+def test_high_rate_window_is_rejected_before_framing(rate, featurize, monkeypatch):
+    clip = AudioClip(samples=np.zeros(rate), sample_rate=rate)
+    monkeypatch.setattr(audio, "frame_signal", _refuse_framing)
+    with pytest.raises(ValueError, match="exceeds FFT size 1024") as exc:
+        featurize(clip)
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("featurize", [speech_spectrogram, log_mel_3d])
+def test_high_rate_clip_shorter_than_its_window_is_too_short(featurize):
+    # the 1,920-sample window of 40 ms at 48 kHz: the length check comes first
+    clip = AudioClip(samples=np.zeros(1919), sample_rate=48000)
+    with pytest.raises(ClipTooShort, match="window needs 1920"):
+        featurize(clip)
+
+
+class TestSharedSpectrum:
+    @staticmethod
+    def noise(seed=41, n=SR):
+        return np.clip(Rng(seed).normal_vec(n, 0.0, 0.3), -1.0, 1.0)
+
+    def fresh(self, featurize, *args):
+        return featurize(AudioClip(samples=self.noise(), sample_rate=SR), *args).values
+
+    @pytest.mark.parametrize("order", [(speech_spectrogram, log_mel_3d),
+                                       (log_mel_3d, speech_spectrogram)])
+    def test_either_order_equals_fresh_clips(self, order):
+        clip = AudioClip(samples=self.noise(), sample_rate=SR)
+        for featurize in order:
+            assert np.array_equal(featurize(clip).values, self.fresh(featurize))
+
+    def test_two_framings_are_cached_separately(self):
+        clip = AudioClip(samples=self.noise(), sample_rate=SR)
+        long = speech_spectrogram(clip, 40.0, 10.0)
+        short = log_mel_3d(clip, 40, 25.0, 10.0)
+        assert set(clip._spectra) == {(640, 160), (400, 160)}
+        assert np.array_equal(long.values, self.fresh(speech_spectrogram, 40.0, 10.0))
+        assert np.array_equal(short.values, self.fresh(log_mel_3d, 40, 25.0, 10.0))
+        assert np.array_equal(speech_spectrogram(clip, 25.0, 10.0).values,
+                              self.fresh(speech_spectrogram, 25.0, 10.0))
+        assert np.array_equal(log_mel_3d(clip, 40, 40.0, 10.0).values,
+                              self.fresh(log_mel_3d, 40, 40.0, 10.0))
+
+    def test_samples_are_read_only(self):
+        clip = AudioClip(samples=self.noise(), sample_rate=SR)
+        with pytest.raises(ValueError):
+            clip.samples[0] = 0.5
+
+    def test_caller_array_is_copied(self):
+        samples = self.noise()
+        clip = AudioClip(samples=samples, sample_rate=SR)
+        before = speech_spectrogram(clip).values
+        samples[:] = 0.0
+        assert np.array_equal(speech_spectrogram(clip).values, before)
+        assert np.array_equal(before, self.fresh(speech_spectrogram))
+        assert np.array_equal(clip.samples, self.noise())
+
+    def test_cached_filterbank_is_read_only_and_unchanged(self):
+        bank = mel_filterbank(40, 1024, SR)
+        assert mel_filterbank(40, 1024, SR) is bank
+        assert not bank.flags.writeable
+        assert np.array_equal(bank, mel_filterbank.__wrapped__(40, 1024, SR))
+
+
 class TestMel:
     def test_cube_shape(self):
         cube = log_mel_3d(tone(), bands=40)
         assert cube.values.shape == (40, 97, 3)
+
+    def test_deltas_equal_the_gathered_form(self):
+        # oracle: the fancy-index gathers the slices replaced
+        x = Rng(42).normal_mat(7, 11)
+        width = 2
+        padded = np.pad(x, ((0, 0), (width, width)), mode="edge")
+        t = np.arange(x.shape[1]) + width
+        oracle = np.zeros_like(x)
+        for w in range(1, width + 1):
+            oracle += w * (padded[:, t + w] - padded[:, t - w])
+        assert np.array_equal(deltas(x, width), oracle / 10.0)
 
     def test_constant_input_has_zero_deltas(self):
         clip = AudioClip(samples=np.full(SR, 0.25), sample_rate=SR)
