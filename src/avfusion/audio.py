@@ -3,12 +3,10 @@
 The speech path frames the signal with a periodic Hamming window (40 ms
 window, 10 ms hop by default), zero-pads each frame to a 1024-point FFT, and
 keeps the 200 lowest-frequency magnitude bins on a natural-log scale.  The
-mel path applies a triangular HTK-scale filterbank to the power spectrum, and
-stacks the log energies with their deltas and delta-deltas into a 3-channel
-cube.  Both read one magnitude spectrum, computed once per clip and framing
-and kept on the clip; a clip's samples are a read-only copy, so that spectrum
-cannot go stale.  A window longer than the FFT (40 ms at 44.1 or 48 kHz) is
-rejected before anything is framed.
+mel path shares the framing, applies a triangular HTK-scale filterbank to the
+power spectrum, and stacks the log energies with their deltas and
+delta-deltas into a 3-channel cube.  A window longer than the FFT (40 ms at
+44.1 or 48 kHz) is rejected before anything is framed.
 
 A learned linear patch embedder turns a spectrogram into a FeatureSet: the
 time-frequency grid is tiled into grid_h x grid_w patches (rows of the grid
@@ -16,9 +14,8 @@ tile the time axis), each patch is flattened row-major and projected to a
 fixed channel dimension.
 """
 
-import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +34,11 @@ FFT_SIZE = 1024
 
 @dataclass
 class AudioClip:
-    samples: np.ndarray  # read-only float64 copy, in [-1, 1]
+    samples: np.ndarray  # float64 in [-1, 1]
     sample_rate: int
-    # (win, hop) in samples -> read-only magnitude spectrum, see _magnitude
-    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64)
+        arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise DimMismatch("audio samples must be a 1-D array")
         check_finite(arr, "audio samples")
@@ -52,7 +47,6 @@ class AudioClip:
         if self.sample_rate not in SUPPORTED_RATES:
             raise UnsupportedFormat(
                 f"sample rate {self.sample_rate} not in {SUPPORTED_RATES}")
-        arr.flags.writeable = False
         self.samples = arr
 
     def __len__(self) -> int:
@@ -136,8 +130,7 @@ def read_wav(path) -> AudioClip:
     if len(payload) % 2 != 0:
         raise CorruptHeader("data chunk length is not a whole number of samples")
     raw = np.frombuffer(payload, dtype="<i2")
-    # int16 -> float64 is exact, so this is one allocation and AudioClip's copy the other
-    return AudioClip(samples=raw / 32768.0, sample_rate=rate)
+    return AudioClip(samples=raw.astype(np.float64) / 32768.0, sample_rate=rate)
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -188,18 +181,13 @@ def _spectrum(frames: np.ndarray) -> np.ndarray:
     return np.fft.rfft(frames, n=FFT_SIZE)
 
 
-def _magnitude(clip: AudioClip, window_ms: float, hop_ms: float) -> np.ndarray:
-    """Read-only |spectrum| of the clip's frames, computed once per (win, hop)."""
-    win, hop = _frame_lengths(clip, window_ms, hop_ms)
+def _stft(clip: AudioClip, window_ms: float, hop_ms: float) -> np.ndarray:
+    """_spectrum of the clip's Hamming-windowed frames."""
+    win, _hop = _frame_lengths(clip, window_ms, hop_ms)
     # rfft would silently crop a longer frame to FFT_SIZE, so refuse it before framing
     if win > FFT_SIZE:
         raise ValueError(f"window of {win} samples exceeds FFT size {FFT_SIZE}")
-    mag = clip._spectra.get((win, hop))
-    if mag is None:
-        mag = np.abs(_spectrum(frame_signal(clip, window_ms, hop_ms)))
-        mag.flags.writeable = False
-        clip._spectra[(win, hop)] = mag
-    return mag
+    return _spectrum(frame_signal(clip, window_ms, hop_ms))
 
 
 def speech_spectrogram(clip: AudioClip, window_ms: float = 40.0,
@@ -209,18 +197,16 @@ def speech_spectrogram(clip: AudioClip, window_ms: float = 40.0,
     Frames are zero-padded to the 1024-point FFT, magnitudes are floored at
     1e-10 before the natural log.
     """
-    mag = _magnitude(clip, window_ms, hop_ms)[:, :SPEECH_BINS]
+    mag = np.abs(_stft(clip, window_ms, hop_ms)[:, :SPEECH_BINS])
     return Spectrogram(values=np.log(np.maximum(mag, LOG_FLOOR)))
 
 
-@functools.lru_cache
 def mel_filterbank(bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """Triangular filterbank on the HTK mel scale, shape (bands, fft_size//2+1).
 
     Centers are spaced uniformly in mel between 0 Hz and Nyquist; edges are
     kept fractional so each filter peaks next to its center frequency and
-    neighbouring filters overlap.  Built once per argument tuple and shared,
-    so the array is read-only.
+    neighbouring filters overlap.
     """
     if bands < 10:
         raise ValueError(f"need at least 10 mel bands, got {bands}")
@@ -243,14 +229,13 @@ def mel_filterbank(bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
         bank[b] = np.maximum(0.0, np.minimum(rising, falling))
         if not np.any(bank[b] > 0.0):
             raise ValueError(f"mel filter {b} covers no FFT bin; reduce the band count")
-    bank.flags.writeable = False
     return bank
 
 
 def log_mel_3d(clip: AudioClip, bands: int = 40, window_ms: float = 40.0,
                hop_ms: float = 10.0) -> MelCube:
     """Log mel-spectrogram with delta and delta-delta channels, (bands, frames, 3)."""
-    power = _magnitude(clip, window_ms, hop_ms) ** 2
+    power = np.abs(_stft(clip, window_ms, hop_ms)) ** 2
     bank = mel_filterbank(bands, FFT_SIZE, clip.sample_rate)
     static = np.log(np.maximum(power @ bank.T, LOG_FLOOR)).T  # (bands, frames)
     d1 = deltas(static)

@@ -214,54 +214,6 @@ def test_high_rate_clip_shorter_than_its_window_is_too_short(featurize):
         featurize(clip)
 
 
-class TestSharedSpectrum:
-    @staticmethod
-    def noise(seed=41, n=SR):
-        return np.clip(Rng(seed).normal_vec(n, 0.0, 0.3), -1.0, 1.0)
-
-    def fresh(self, featurize, *args):
-        return featurize(AudioClip(samples=self.noise(), sample_rate=SR), *args).values
-
-    @pytest.mark.parametrize("order", [(speech_spectrogram, log_mel_3d),
-                                       (log_mel_3d, speech_spectrogram)])
-    def test_either_order_equals_fresh_clips(self, order):
-        clip = AudioClip(samples=self.noise(), sample_rate=SR)
-        for featurize in order:
-            assert np.array_equal(featurize(clip).values, self.fresh(featurize))
-
-    def test_two_framings_are_cached_separately(self):
-        clip = AudioClip(samples=self.noise(), sample_rate=SR)
-        long = speech_spectrogram(clip, 40.0, 10.0)
-        short = log_mel_3d(clip, 40, 25.0, 10.0)
-        assert set(clip._spectra) == {(640, 160), (400, 160)}
-        assert np.array_equal(long.values, self.fresh(speech_spectrogram, 40.0, 10.0))
-        assert np.array_equal(short.values, self.fresh(log_mel_3d, 40, 25.0, 10.0))
-        assert np.array_equal(speech_spectrogram(clip, 25.0, 10.0).values,
-                              self.fresh(speech_spectrogram, 25.0, 10.0))
-        assert np.array_equal(log_mel_3d(clip, 40, 40.0, 10.0).values,
-                              self.fresh(log_mel_3d, 40, 40.0, 10.0))
-
-    def test_samples_are_read_only(self):
-        clip = AudioClip(samples=self.noise(), sample_rate=SR)
-        with pytest.raises(ValueError):
-            clip.samples[0] = 0.5
-
-    def test_caller_array_is_copied(self):
-        samples = self.noise()
-        clip = AudioClip(samples=samples, sample_rate=SR)
-        before = speech_spectrogram(clip).values
-        samples[:] = 0.0
-        assert np.array_equal(speech_spectrogram(clip).values, before)
-        assert np.array_equal(before, self.fresh(speech_spectrogram))
-        assert np.array_equal(clip.samples, self.noise())
-
-    def test_cached_filterbank_is_read_only_and_unchanged(self):
-        bank = mel_filterbank(40, 1024, SR)
-        assert mel_filterbank(40, 1024, SR) is bank
-        assert not bank.flags.writeable
-        assert np.array_equal(bank, mel_filterbank.__wrapped__(40, 1024, SR))
-
-
 class TestMel:
     def test_cube_shape(self):
         cube = log_mel_3d(tone(), bands=40)
