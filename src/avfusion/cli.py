@@ -83,6 +83,10 @@ def _cmd_eval(args) -> int:
     print(f"accuracy={metrics.accuracy!r}")
     for c, r in enumerate(metrics.per_class_recall):
         print(f"recall.{c}={float(r)!r}")
+    for c, row in enumerate(metrics.confusion):
+        print(f"confusion.{c}=" + ",".join(str(int(v)) for v in row))
+    for c, p in enumerate(metrics.per_class_precision):
+        print(f"precision.{c}={float(p)!r}")
     return 0
 
 

@@ -32,8 +32,9 @@ from .synthetic import SyntheticDataset, enhanced_dim, gen_synthetic
 @dataclass
 class Metrics:
     accuracy: float
-    per_class_recall: np.ndarray  # (C,)
-    confusion: np.ndarray         # (C, C) ints, rows = true class
+    per_class_recall: np.ndarray     # (C,)
+    per_class_precision: np.ndarray  # (C,), 0.0 for a class never predicted
+    confusion: np.ndarray            # (C, C) ints, rows = true class
 
 
 def compute_metrics(y_true, y_pred, classes: int) -> Metrics:
@@ -44,7 +45,9 @@ def compute_metrics(y_true, y_pred, classes: int) -> Metrics:
     accuracy = float(np.trace(confusion)) / total if total else 0.0
     row_sums = confusion.sum(axis=1)
     recall = np.where(row_sums > 0, np.diag(confusion) / np.maximum(row_sums, 1), 0.0)
-    return Metrics(accuracy=accuracy, per_class_recall=recall, confusion=confusion)
+    precision = np.diag(confusion) / np.maximum(confusion.sum(axis=0), 1)
+    return Metrics(accuracy=accuracy, per_class_recall=recall,
+                   per_class_precision=precision, confusion=confusion)
 
 
 class IntraStage:
@@ -79,14 +82,14 @@ class IntraStage:
         return pooled[0], cache
 
 
-def _stack_sets(sets, dim: int, name: str) -> np.ndarray:
-    """Equal-size feature sets stacked into one finite (B, n, dim) array."""
-    shape = sets[0].vectors.shape
-    if shape[1] != dim:
-        raise DimMismatch(f"{name} features have dim {shape[1]}, the model expects {dim}")
-    if any(fs.vectors.shape != shape for fs in sets):
-        raise DimMismatch(f"{name} feature sets differ in size; every set must be {shape}")
-    return check_finite(np.array([fs.vectors for fs in sets]), f"{name} features")
+def _stack_sets(sets, name: str) -> np.ndarray:
+    """Equal-size feature sets stacked into one finite (B, n, d) array."""
+    try:
+        stacked = np.array([fs.vectors for fs in sets], dtype=np.float64)
+    except ValueError:  # ragged: numpy cannot stack them
+        raise DimMismatch(f"{name} feature sets differ in size; every set must be "
+                          f"{sets[0].vectors.shape}") from None
+    return check_finite(stacked, f"{name} features")
 
 
 class FusionPipeline:
@@ -144,13 +147,20 @@ class FusionPipeline:
 
     # --- input validation ---------------------------------------------------
     def stack(self, audio_sets, visual_sets, labels=None):
-        """Validated (B, n, d) audio and visual arrays, and (B,) int labels.
+        """Validated (B, n, d) audio and visual arrays, and (B,) int labels:
+        the sets of a modality must be finite and of one size (ragged sets
+        raise DimMismatch), and the arrays pass ``check_rows``."""
+        return self.check_rows(_stack_sets(audio_sets, "audio"),
+                               _stack_sets(visual_sets, "visual"), labels)
 
-        Every set of a modality must have the same size (ragged sets raise
-        DimMismatch); labels must lie in 0..classes-1.
-        """
-        audio = _stack_sets(audio_sets, self.audio.in_dim, "audio")
-        visual = _stack_sets(visual_sets, self.visual.in_dim, "visual")
+    def check_rows(self, audio, visual, labels=None):
+        """(B, n, d) audio and visual arrays and (B,) int labels, checked
+        against the model: each feature dim must be its stage's, and labels
+        must lie in 0..classes-1, or DimMismatch is raised."""
+        for name, rows, stage in (("audio", audio, self.audio), ("visual", visual, self.visual)):
+            if rows.shape[2] != stage.in_dim:
+                raise DimMismatch(f"{name} features have dim {rows.shape[2]}, "
+                                  f"the model expects {stage.in_dim}")
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
             if np.any((labels < 0) | (labels >= self.clf.classes)):
@@ -336,16 +346,21 @@ def prepare_dataset(cfg: ExperimentConfig):
     """Dataset plus the split both train and eval agree on."""
     rngs = experiment_rngs(cfg.seed)
     dataset = gen_synthetic(cfg, rngs["data"])
-    train_idx, test_idx = split_indices(len(dataset.samples), rngs["split"])
+    train_idx, test_idx = split_indices(len(dataset.labels), rngs["split"])
     return dataset, train_idx, test_idx, rngs
 
 
 def evaluate_pipeline(model: FusionPipeline, dataset: SyntheticDataset, indices) -> Metrics:
-    """Metrics of class-reweighted predictions on the indexed samples, batched."""
-    samples = [dataset.samples[i] for i in indices]
-    if not samples:
+    """Metrics of class-reweighted predictions on the indexed rows, batched.
+
+    The rows are indexed out of the dataset's arrays, which were checked
+    finite when generated; ``check_rows`` checks them against the model.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    if not len(idx):
         return compute_metrics([], [], dataset.classes)
-    audio, visual, labels = stack_samples(model, samples)
+    audio, visual, labels = model.check_rows(dataset.audio[idx], dataset.visual[idx],
+                                             dataset.labels[idx])
     return compute_metrics(labels, model.predict_rows(audio, visual), dataset.classes)
 
 

@@ -1,9 +1,10 @@
 """Ordered sets of equal-dimension feature vectors.
 
 A FeatureSet is one sample's input to an intra-modal fusion, and the unit
-that feature files, the synthetic generators and the patch embedder produce:
-n vectors of a common dimension d, validated finite and stored as an (n, d)
-float64 array.  The pipeline stacks equal-size sets into (B, n, d) arrays.
+that feature files and the patch embedder produce: n vectors of a common
+dimension d, validated finite and stored as an (n, d) float64 array.  The
+pipeline stacks equal-size sets into (B, n, d) arrays.  A synthetic dataset
+is already stacked; its ``samples`` build FeatureSets only on access.
 """
 
 import numpy as np

@@ -13,8 +13,13 @@ Visual frames are optionally enhanced at generation time: each base frame
 feature spawns a bag of per-transform variants (conditioned deterministically
 on the rotation/scale/flip descriptors) which the configured aggregator
 collapses.  The identity transform reproduces the base feature exactly.
+
+A dataset is three read-only arrays, filled block by block and checked
+finite once, when generated: audio (N, n_a, d_a), visual (N, n_v, d_v) and
+int64 labels (N,).  ``samples`` builds per-sample FeatureSets on access.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,14 +28,40 @@ from .config import ExperimentConfig
 from .enhance import ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows, normfft_rows
 from .errors import InvalidConfig
 from .features import FeatureSet
-from .numeric import BLOCK_FLOATS
+from .numeric import BLOCK_FLOATS, check_finite
 from .rng import Rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticDataset:
-    samples: list  # (audio FeatureSet, visual FeatureSet, label) triples
+    audio: np.ndarray   # (N, n_a, d_a)
+    visual: np.ndarray  # (N, n_v, d_v), enhanced
+    labels: np.ndarray  # (N,) int64
     classes: int
+
+    def __post_init__(self):  # the one finite check; read-only keeps it valid
+        for name in ("audio", "visual", "labels"):
+            arr = check_finite(getattr(self, name), f"synthetic {name}")
+            arr.flags.writeable = False
+
+    @property
+    def samples(self) -> "_Samples":
+        """The (audio FeatureSet, visual FeatureSet, label) triples, built on access."""
+        return _Samples(self)
+
+
+class _Samples(Sequence):
+    def __init__(self, dataset: SyntheticDataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        ds = self._dataset
+        return FeatureSet(ds.audio[i]), FeatureSet(ds.visual[i]), int(ds.labels[i])
 
 
 def enhanced_dim(base_dim: int, mode: str) -> int:
@@ -92,17 +123,24 @@ def _blocks(start: int, stop: int, cfg: ExperimentConfig, draws: int, frame_floa
         yield lo, min(lo + rows, stop)
 
 
-def _block_samples(cfg: ExperimentConfig, enhance, center_a, center_v, z, labels) -> list:
-    """(audio, visual, label) per sample of a block: frames are the (rows, d)
+def _empty(cfg: ExperimentConfig):
+    """Unfilled (audio, visual, labels) arrays of cfg.samples rows."""
+    visual_dim = enhanced_dim(cfg.visual_dim, cfg.enhance_mode)
+    return (np.empty((cfg.samples, cfg.audio_frames, cfg.audio_dim)),
+            np.empty((cfg.samples, cfg.visual_frames, visual_dim)),
+            np.empty(cfg.samples, dtype=np.int64))
+
+
+def _block_samples(cfg: ExperimentConfig, enhance, center_a, center_v, z):
+    """A block's (rows, n, d) audio and visual arrays: frames are the (rows, d)
     centers plus noise times the (rows, frames * d) normals z, audio first."""
     na = cfg.audio_frames * cfg.audio_dim
     audio = center_a[:, None, :] + cfg.noise * z[:, :na].reshape(-1, cfg.audio_frames,
                                                                   cfg.audio_dim)
     visual = center_v[:, None, :] + cfg.noise * z[:, na:].reshape(-1, cfg.visual_frames,
                                                                    cfg.visual_dim)
-    visual = enhance(visual.reshape(-1, cfg.visual_dim)).reshape(len(labels),
-                                                                 cfg.visual_frames, -1)
-    return [(FeatureSet(a), FeatureSet(v), label) for a, v, label in zip(audio, visual, labels)]
+    visual = enhance(visual.reshape(-1, cfg.visual_dim)).reshape(len(z), cfg.visual_frames, -1)
+    return audio, visual
 
 
 def gen_synthetic(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
@@ -125,12 +163,13 @@ def _gen_clustered(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     protos_v = rng.normal_mat(cfg.classes, cfg.visual_dim)
     enhance, frame_floats = _make_enhancer(cfg, rng)
     nz = cfg.audio_frames * cfg.audio_dim + cfg.visual_frames * cfg.visual_dim
-    samples = []
+    audio, visual, labels = _empty(cfg)
     for lo, hi in _blocks(0, cfg.samples, cfg, 2 * nz, frame_floats):
-        labels = np.arange(lo, hi) % cfg.classes
-        samples += _block_samples(cfg, enhance, protos_a[labels], protos_v[labels],
-                                  rng.normal_mat(hi - lo, nz), labels.tolist())
-    return SyntheticDataset(samples=samples, classes=cfg.classes)
+        labels[lo:hi] = np.arange(lo, hi) % cfg.classes
+        audio[lo:hi], visual[lo:hi] = _block_samples(
+            cfg, enhance, protos_a[labels[lo:hi]], protos_v[labels[lo:hi]],
+            rng.normal_mat(hi - lo, nz))
+    return SyntheticDataset(audio, visual, labels, cfg.classes)
 
 
 def _gen_interaction(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
@@ -145,7 +184,7 @@ def _gen_interaction(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     # the first two samples are pinned to one label each, so both classes are
     # always present, and draw no signs
     pinned = min(2, cfg.samples)
-    samples = []
+    audio, visual, labels = _empty(cfg)
     for signs, start, stop in ((0, 0, pinned), (2, pinned, cfg.samples)):
         for lo, hi in _blocks(start, stop, cfg, signs + 2 + 2 * nz, frame_floats):
             # per sample: sign uniforms, two magnitude uniforms, noise normals
@@ -158,8 +197,8 @@ def _gen_interaction(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
                 sign_a, sign_v = np.ones(hi - lo), np.where(np.arange(lo, hi) == 0, 1.0, -1.0)
             mag_a = 0.5 + (1.5 - 0.5) * draws[:, signs]
             mag_v = 0.5 + (1.5 - 0.5) * draws[:, signs + 1]
-            labels = np.where(sign_a * sign_v > 0, 1, 0).tolist()
-            samples += _block_samples(cfg, enhance, (sign_a * mag_a)[:, None] * p,
-                                      (sign_v * mag_v)[:, None] * q, draws[:, signs + 2:],
-                                      labels)
-    return SyntheticDataset(samples=samples, classes=2)
+            labels[lo:hi] = np.where(sign_a * sign_v > 0, 1, 0)
+            audio[lo:hi], visual[lo:hi] = _block_samples(
+                cfg, enhance, (sign_a * mag_a)[:, None] * p, (sign_v * mag_v)[:, None] * q,
+                draws[:, signs + 2:])
+    return SyntheticDataset(audio, visual, labels, 2)

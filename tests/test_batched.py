@@ -196,3 +196,31 @@ def test_in_place_tensor_changes_reach_the_forward(overrides):
         restored, _ = model.batch_loss(audio, visual, labels)
         assert bumped != base, name
         assert repr(restored) == repr(base), name
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cross_mode", ["fbp", "concat"])
+def test_transformer_gradients_away_from_the_zero_init(cross_mode, seed):
+    # at init transformer's u is 0, so the scores are 0 and the w2 and b
+    # gradients are exactly 0 on both sides: randomize every tensor first
+    model, (audio, visual, labels) = _rows_of_update(
+        dict(audio_fusion="transformer", visual_fusion="transformer", cross_mode=cross_mode,
+             classes=3, samples=3), count=3)
+    rng = Rng(100 + seed)
+    for arr in model.tensors().values():
+        arr[...] = rng.normal_vec(arr.size, 0.0, 0.5).reshape(arr.shape)
+    grads = model.batch_loss(audio, visual, labels)[1]()
+    for name in ("audio.w2", "audio.b", "visual.w2", "visual.b"):
+        assert np.all(grads[name] != 0.0), name
+    assert grad_check(lambda _: model.batch_loss(audio, visual, labels),
+                      model.tensors()) < GRAD_TOL
+
+
+def test_ragged_sets_keep_the_size_message():
+    model = FusionPipeline(small_cfg(), Rng(2))
+    rng = Rng(3)
+    visual = [FeatureSet(rng.normal_mat(2, 3)), FeatureSet(rng.normal_mat(2, 3))]
+    with pytest.raises(DimMismatch, match=r"audio feature sets differ in size; "
+                                          r"every set must be \(3, 4\)"):
+        model.stack([FeatureSet(rng.normal_mat(3, 4)), FeatureSet(rng.normal_mat(3, 5))],
+                    visual)

@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,45 @@ class TestTrainEval:
         train_acc = train_out.splitlines()[0].split("=", 1)[1]
         eval_acc = eval_out.splitlines()[0].split("=", 1)[1]
         assert train_acc == eval_acc
+
+    def test_eval_prints_confusion_and_precision(self, cfg_path, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        report = (out_dir / "report.txt").read_text()
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out_dir / "checkpoint.bin"),
+                     "--config", str(cfg_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("accuracy=")
+        values = dict(line.split("=", 1) for line in lines)
+        rows = np.array([[int(v) for v in values[f"confusion.{t}"].split(",")]
+                         for t in range(7)])
+        test_size = int(report.split("samples.test=")[1].split("\n")[0])
+        assert rows.sum() == test_size == 7
+        csv = (out_dir / "confusion.csv").read_text().splitlines()
+        assert [values[f"confusion.{t}"] for t in range(7)] == csv
+        for c in range(7):
+            column = rows[:, c].sum()
+            want = rows[c, c] / column if column else 0.0
+            assert values[f"precision.{c}"] == repr(float(want))
+        assert lines[1 + 7:] == ([f"confusion.{t}={values[f'confusion.{t}']}" for t in range(7)]
+                                 + [f"precision.{c}={values[f'precision.{c}']}"
+                                    for c in range(7)])
+
+    def test_train_is_byte_identical_across_processes(self, cfg_path, tmp_path):
+        # string hashing is salted per process; no artifact may depend on it
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out_dir = tmp_path / f"run{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            env.pop("AVF_SEED", None)
+            subprocess.run([sys.executable, "-m", "avfusion.cli", "train", "--config",
+                            str(cfg_path), "--out-dir", str(out_dir)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("report.txt", "confusion.csv", "checkpoint.bin")])
+        assert outputs[0] == outputs[1]
 
     def test_invalid_config_fails(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -7,8 +7,9 @@ from avfusion.checks import check_pipeline
 from avfusion.config import ExperimentConfig
 from avfusion.errors import DimMismatch, EmptyDataset
 from avfusion.experiment import (FusionPipeline, IntraStage, compute_metrics,
-                                 experiment_rngs, prepare_dataset,
-                                 run_experiment, split_indices, train_pipeline)
+                                 evaluate_pipeline, experiment_rngs, prepare_dataset,
+                                 run_experiment, split_indices, stack_samples,
+                                 train_pipeline)
 from avfusion.featfile import load_checkpoint
 from avfusion.features import FeatureSet
 from avfusion.rng import Rng
@@ -29,6 +30,12 @@ class TestMetrics:
         assert m.confusion.tolist() == [[1, 1, 0], [0, 2, 0], [1, 0, 0]]
         assert m.accuracy == 3 / 5
         assert np.allclose(m.per_class_recall, [0.5, 1.0, 0.0])
+
+    def test_precision_is_diag_over_column_sums(self):
+        m = compute_metrics([0, 0, 1, 1, 2], [0, 1, 1, 1, 0], classes=4)
+        # class 2 and class 3 are never predicted
+        assert m.per_class_precision.tolist() == [0.5, 2 / 3, 0.0, 0.0]
+        assert m.per_class_recall.tolist() == [0.5, 1.0, 0.0, 0.0]
 
     def test_accuracy_equals_trace_over_total(self):
         rng = Rng(62)
@@ -234,3 +241,40 @@ def test_experiment_rngs_are_stable():
     b = experiment_rngs(99)
     for key in ("data", "split", "init", "train"):
         assert a[key].next_u64() == b[key].next_u64()
+
+
+class TestEvaluateOnArrays:
+    @pytest.mark.parametrize("enhance", ["none", "meanstd"])
+    @pytest.mark.parametrize("data_mode", ["clustered", "interaction"])
+    def test_matches_predictions_on_the_stacked_samples(self, data_mode, enhance):
+        classes = 2 if data_mode == "interaction" else 7
+        cfg = small_cfg(data_mode=data_mode, classes=classes, enhance_mode=enhance)
+        dataset, train_idx, test_idx, rngs = prepare_dataset(cfg)
+        model = FusionPipeline(cfg, rngs["init"])
+        train_pipeline(model, [dataset.samples[i] for i in train_idx], 5, cfg.lr,
+                       rngs["train"])
+        for indices in (test_idx, range(len(dataset.labels)), [5, 5, 0]):
+            samples = [dataset.samples[i] for i in indices]
+            audio, visual, labels = stack_samples(model, samples)
+            preds = model.predict_rows(audio, visual)
+            assert len(indices) < 4 or len(set(preds.tolist())) > 1
+            want = compute_metrics(labels, preds, classes)
+            got = evaluate_pipeline(model, dataset, indices)
+            assert np.array_equal(got.confusion, want.confusion)
+            assert repr(got.accuracy) == repr(want.accuracy)
+            assert got.per_class_recall.tobytes() == want.per_class_recall.tobytes()
+
+    def test_no_indices_give_empty_metrics(self):
+        cfg = small_cfg()
+        dataset, _, _, rngs = prepare_dataset(cfg)
+        metrics = evaluate_pipeline(FusionPipeline(cfg, rngs["init"]), dataset, [])
+        assert metrics.confusion.shape == (7, 7) and metrics.confusion.sum() == 0
+
+    @pytest.mark.parametrize("overrides", [dict(audio_dim=6), dict(visual_dim=4),
+                                           dict(enhance_mode="meanstd"), dict(classes=3)])
+    def test_a_model_that_does_not_fit_the_data_raises_dim_mismatch(self, overrides):
+        cfg = small_cfg()
+        dataset, _, test_idx, rngs = prepare_dataset(cfg)
+        model = FusionPipeline(small_cfg(**overrides), rngs["init"])
+        with pytest.raises(DimMismatch):
+            evaluate_pipeline(model, dataset, range(len(dataset.labels)))

@@ -6,10 +6,10 @@ from avfusion.classifier import SoftmaxParams, class_probs
 from avfusion.config import ExperimentConfig
 from avfusion.enhance import (ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows,
                               normfft_rows)
-from avfusion.errors import InvalidConfig
+from avfusion.errors import InvalidConfig, NonFiniteValue
 from avfusion.features import FeatureSet
 from avfusion.rng import Rng
-from avfusion.synthetic import enhanced_dim, gen_synthetic
+from avfusion.synthetic import SyntheticDataset, enhanced_dim, gen_synthetic
 from test_classifier import fit_softmax
 
 
@@ -194,10 +194,22 @@ def loop_gen_synthetic(cfg, rng):
 
 def assert_same_dataset(cfg):
     bulk_rng, loop_rng = Rng(cfg.seed), Rng(cfg.seed)
-    got = gen_synthetic(cfg, bulk_rng).samples
+    dataset = gen_synthetic(cfg, bulk_rng)
     want = loop_gen_synthetic(cfg, loop_rng)
+    # the arrays, row by row
+    visual_dim = enhanced_dim(cfg.visual_dim, cfg.enhance_mode)
+    assert dataset.audio.shape == (len(want), cfg.audio_frames, cfg.audio_dim)
+    assert dataset.visual.shape == (len(want), cfg.visual_frames, visual_dim)
+    assert dataset.labels.dtype == np.int64
+    assert dataset.labels.tolist() == [label for _, _, label in want]
+    for row, (wa, wv, _) in enumerate(want):
+        assert dataset.audio[row].tobytes() == wa.vectors.tobytes()
+        assert dataset.visual[row].tobytes() == wv.vectors.tobytes()
+    # the FeatureSets built on access
+    got = dataset.samples
     assert len(got) == len(want)
-    for (a, v, label), (wa, wv, wlabel) in zip(got, want):
+    for i, (wa, wv, wlabel) in enumerate(want):
+        a, v, label = got[i]
         assert type(label) is int and label == wlabel
         assert a.vectors.shape == wa.vectors.shape and v.vectors.shape == wv.vectors.shape
         assert a.vectors.tobytes() == wa.vectors.tobytes()
@@ -232,3 +244,57 @@ def test_criterion_4_data_matches_the_loop_oracle():
     assert_same_dataset(ExperimentConfig(
         seed=777, data_mode="interaction", samples=2000, classes=2, audio_dim=6,
         visual_dim=6, audio_frames=3, visual_frames=3, noise=0.1))
+
+
+# --- the dataset as arrays ----------------------------------------------------
+
+
+class TestArrays:
+    def test_arrays_are_read_only(self):
+        ds = gen_synthetic(clustered_cfg(), Rng(7))
+        for arr in (ds.audio, ds.visual, ds.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        a, _, _ = ds.samples[0]
+        with pytest.raises(ValueError, match="read-only"):
+            a.vectors[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["audio", "visual"])
+    def test_non_finite_arrays_are_rejected_once_at_the_dataset(self, name):
+        arrays = {"audio": np.zeros((2, 3, 4)), "visual": np.zeros((2, 2, 5)),
+                  "labels": np.array([0, 1])}
+        arrays[name][1, 0, 2] = np.nan
+        with pytest.raises(NonFiniteValue, match=f"synthetic {name}"):
+            SyntheticDataset(classes=2, **arrays)
+
+    def test_samples_are_a_sequence_built_on_access(self):
+        ds = gen_synthetic(clustered_cfg(), Rng(8))
+        samples = ds.samples
+        n = len(samples)
+        assert n == 35 == len(ds.labels)
+
+        def same(x, y):
+            return (x[0].vectors.tobytes() == y[0].vectors.tobytes()
+                    and x[1].vectors.tobytes() == y[1].vectors.tobytes() and x[2] == y[2])
+
+        assert all(same(samples[-k], samples[n - k]) for k in range(1, n + 1))
+        for sl in (slice(None, 4), slice(-3, None), slice(1, 30, 7), slice(None, None, -5),
+                   slice(40, 50)):
+            got = samples[sl]
+            assert isinstance(got, list)
+            want = [samples[i] for i in range(n)[sl]]
+            assert len(got) == len(want) and all(map(same, got, want))
+        listed = list(samples)
+        assert len(listed) == n and all(same(listed[i], samples[i]) for i in range(n))
+        with pytest.raises(IndexError):
+            samples[n]
+        with pytest.raises(IndexError):
+            samples[-n - 1]
+
+    def test_zero_sample_dataset(self):
+        cfg = interaction_cfg(samples=0, enhance_mode="meanstd")
+        ds = gen_synthetic(cfg, Rng(9))
+        assert ds.audio.shape == (0, 3, 6)
+        assert ds.visual.shape == (0, 3, 12)
+        assert ds.labels.shape == (0,) and ds.labels.dtype == np.int64
+        assert len(ds.samples) == 0 and list(ds.samples) == [] and ds.samples[:] == []
