@@ -24,7 +24,7 @@ from .config import ExperimentConfig, config_summary, resolved_class_weights
 from .errors import DimMismatch, EmptyDataset, NumericalDivergence
 from .features import FeatureSet
 from .featfile import save_checkpoint
-from .numeric import BLOCK_FLOATS, check_finite
+from .numeric import BLOCK_FLOATS, Scratch, check_finite
 from .rng import Rng
 from .synthetic import SyntheticDataset, enhanced_dim, gen_synthetic
 
@@ -182,24 +182,28 @@ class FusionPipeline:
         return self.fbp_params is not None and self.fbp_params.dropout_p > 0.0
 
     # --- forward / backward on stacked rows ---------------------------------
-    def fuse_rows(self, audio, visual, mask_scale=None):
-        """(B, fused) rows and the stage caches; no dropout when ``mask_scale`` is None."""
+    def fuse_rows(self, audio, visual, mask_scale=None, scratch: Scratch | None = None):
+        """(B, fused) rows and the stage caches; no dropout when ``mask_scale`` is None.
+        FBP writes its wide arrays into ``scratch``'s buffers when given one."""
         a_vec, a_cache = self.audio.pool(audio)
         v_vec, v_cache = self.visual.pool(visual)
         if self.fbp_params is not None:
-            fused, f_cache = fbp.fbp_rows(a_vec, v_vec, self.fbp_params, mask_scale)
+            fused, f_cache = fbp.fbp_rows(a_vec, v_vec, self.fbp_params, mask_scale,
+                                          scratch=scratch)
         else:
             fused, f_cache = np.concatenate([a_vec, v_vec], axis=1), None
         return fused, (a_cache, v_cache, f_cache)
 
-    def batch_loss(self, audio, visual, labels, mask_scale=None):
+    def batch_loss(self, audio, visual, labels, mask_scale=None,
+                   scratch: Scratch | None = None):
         """Summed loss over stacked rows, and a thunk for the hand-chained gradient dict.
 
         Call ``backward()`` before changing a parameter: the caches hold the
         arrays.  ``mask_scale`` is the (B, k*o) rescaled FBP dropout mask,
-        None for no dropout.
+        None for no dropout.  With a ``scratch``, call ``backward()`` before
+        the scratch is used again.
         """
-        fused, (a_cache, v_cache, f_cache) = self.fuse_rows(audio, visual, mask_scale)
+        fused, (a_cache, v_cache, f_cache) = self.fuse_rows(audio, visual, mask_scale, scratch)
         loss, xent_backward = xent_rows(fused, labels, self.clf.weight, self.clf.bias)
 
         def backward():
@@ -220,19 +224,23 @@ class FusionPipeline:
 
         return loss, backward
 
-    def update_loss(self, audio, visual, labels, key: int | None = None):
+    def update_loss(self, audio, visual, labels, key: int | None = None,
+                    scratch: Scratch | None = None):
         """Summed loss and gradients of one update, walked in row blocks.
 
         ``key`` keys the dropout counter stream for this update (None: no
         dropout).  Row r uses counters r*k*o .. (r+1)*k*o - 1, so the masks,
         and the result up to summation order, do not depend on the blocks.
+        A ``scratch`` lends every block the same FBP buffers.
         """
         step = self.block_rows(audio, visual)
         total, acc = 0.0, None
         for r0 in range(0, len(labels), step):
             r1 = min(r0 + step, len(labels))
-            mask = None if key is None else fbp.dropout_scale(key, r0, r1, self.fbp_params)
-            loss, backward = self.batch_loss(audio[r0:r1], visual[r0:r1], labels[r0:r1], mask)
+            mask = (None if key is None
+                    else fbp.dropout_scale(key, r0, r1, self.fbp_params, scratch))
+            loss, backward = self.batch_loss(audio[r0:r1], visual[r0:r1], labels[r0:r1], mask,
+                                             scratch)
             total += loss
             if acc is None:
                 acc = backward()
@@ -298,23 +306,32 @@ def descend(tensors: dict, n: int, step, epochs: int, lr: float, rng: Rng | None
     return curve
 
 
-def train_pipeline(model: FusionPipeline, samples, epochs: int, lr: float,
-                   rng: Rng, batch_size: int = 0) -> list:
-    """Gradient descent over (audio, visual, label) triples; returns loss curve.
+def train_rows(model: FusionPipeline, audio, visual, labels, epochs: int, lr: float,
+               rng: Rng, batch_size: int = 0) -> list:
+    """Gradient descent over rows that ``check_rows`` passed; returns the loss curve.
 
-    The samples are validated and stacked once.  Each update (the whole set,
-    or a shuffled mini-batch of ``batch_size``) is one batched step; with
-    FBP dropout it draws one ``rng.next_u64()`` key for its masks.
+    Each update (the whole set, or a shuffled mini-batch of ``batch_size``)
+    is one batched step; with FBP dropout it draws one ``rng.next_u64()``
+    key for its masks.  The updates share one ``Scratch``, made here.
     """
-    if not samples:
+    if not len(labels):
         raise EmptyDataset("no training samples")
-    audio, visual, labels = stack_samples(model, samples)
+    scratch = Scratch()
 
     def step(batch):
         key = rng.next_u64() if model.dropout_active else None
-        return model.update_loss(audio[batch], visual[batch], labels[batch], key)
+        return model.update_loss(audio[batch], visual[batch], labels[batch], key, scratch)
 
     return descend(model.tensors(), len(labels), step, epochs, lr, rng, batch_size)
+
+
+def train_pipeline(model: FusionPipeline, samples, epochs: int, lr: float,
+                   rng: Rng, batch_size: int = 0) -> list:
+    """``train_rows`` over (audio, visual, label) triples, validated and
+    stacked once; returns the loss curve."""
+    if not samples:
+        raise EmptyDataset("no training samples")
+    return train_rows(model, *stack_samples(model, samples), epochs, lr, rng, batch_size)
 
 
 def split_indices(n: int, rng: Rng, train_frac: float = 0.8):
@@ -356,22 +373,25 @@ def evaluate_pipeline(model: FusionPipeline, dataset: SyntheticDataset, indices)
     The rows are indexed out of the dataset's arrays, which were checked
     finite when generated; ``check_rows`` checks them against the model.
     """
-    idx = np.asarray(indices, dtype=np.intp)
-    if not len(idx):
+    if not len(indices):
         return compute_metrics([], [], dataset.classes)
-    audio, visual, labels = model.check_rows(dataset.audio[idx], dataset.visual[idx],
-                                             dataset.labels[idx])
+    audio, visual, labels = dataset_rows(model, dataset, indices)
     return compute_metrics(labels, model.predict_rows(audio, visual), dataset.classes)
+
+
+def dataset_rows(model: FusionPipeline, dataset: SyntheticDataset, indices):
+    """The dataset's (audio, visual, labels) rows at ``indices``, through ``check_rows``."""
+    idx = np.asarray(indices, dtype=np.intp)
+    return model.check_rows(dataset.audio[idx], dataset.visual[idx], dataset.labels[idx])
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    train_on_all: bool = False) -> ExperimentResult:
     dataset, train_idx, test_idx, rngs = prepare_dataset(cfg)
     model = FusionPipeline(cfg, rngs["init"])
-    chosen = list(range(len(dataset.samples))) if train_on_all else train_idx
-    train_samples = [dataset.samples[i] for i in chosen]
-    curve = train_pipeline(model, train_samples, cfg.epochs, cfg.lr,
-                           rngs["train"], cfg.batch_size)
+    chosen = range(len(dataset.labels)) if train_on_all else train_idx
+    curve = train_rows(model, *dataset_rows(model, dataset, chosen), cfg.epochs, cfg.lr,
+                       rngs["train"], cfg.batch_size)
     metrics = evaluate_pipeline(model, dataset, test_idx)
     result = ExperimentResult(metrics=metrics, loss_curve=curve, model=model)
     if out_dir is not None:

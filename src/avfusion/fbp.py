@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatch, NumericalDivergence
-from .numeric import check_vec
+from .numeric import Scratch, check_vec, scratch_out
 from .rng import Rng, counter_u64
 
 _TINY = np.finfo(np.float64).tiny
@@ -77,6 +77,7 @@ class FBPCache(NamedTuple):
     # (rows, their (R, 1) peaks) where a nonzero |z|^2 underflowed, and denom
     # holds |z| / peak; None when no row did
     tiny: tuple | None
+    scratch: Scratch | None   # where the backward writes its projection gradients
 
 
 @dataclass
@@ -85,7 +86,8 @@ class FBPResult:
     cache: FBPCache
 
 
-def dropout_scale(key: int, first_row: int, stop_row: int, params: FBPParams) -> np.ndarray:
+def dropout_scale(key: int, first_row: int, stop_row: int, params: FBPParams,
+                  scratch: Scratch | None = None) -> np.ndarray:
     """Rescaled dropout mask for rows first_row..stop_row-1 of one update.
 
     Entry (r, c) keeps its unit when the uniform u = (raw >> 11) / 2^53 from
@@ -93,20 +95,29 @@ def dropout_scale(key: int, first_row: int, stop_row: int, params: FBPParams) ->
     p, and is then 1/(1-p), else 0.  Since p * 2^53 is exact, u >= p is
     compared on the raw outputs as raw >= ceil(p * 2^53) << 11, which stays
     below 2^64 for p < 1.  A row's mask depends only on its row number,
-    never on how the update is split into blocks.
+    never on how the update is split into blocks.  With a ``scratch``, the
+    mask is a view into its buffer, overwritten by the next block's.
     """
     ko = params.k * params.o
     threshold = np.uint64(math.ceil(params.dropout_p * (1 << 53)) << 11)
     raw = counter_u64(key, first_row * ko, stop_row * ko).reshape(-1, ko)
-    return np.where(raw >= threshold, 1.0 / (1.0 - params.dropout_p), 0.0)
+    return np.multiply(raw >= threshold, 1.0 / (1.0 - params.dropout_p),
+                       out=scratch_out(scratch, "mask", raw.shape))
 
 
 def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
-             mask_scale: np.ndarray | None = None, normalize: bool = True):
-    """Batched FBP: rows a (B, m) and v (B, n) -> ((B, o) fused rows, cache)."""
-    proj_a = a @ params.u_tilde
-    proj_v = v @ params.v_tilde
-    h = proj_a * proj_v
+             mask_scale: np.ndarray | None = None, normalize: bool = True,
+             scratch: Scratch | None = None):
+    """Batched FBP: rows a (B, m) and v (B, n) -> ((B, o) fused rows, cache).
+
+    With a ``scratch``, the (B, k*o) projections and product of this call,
+    and the projection gradients of its backward, are views into the
+    scratch's buffers.
+    """
+    shape = (len(a), params.u_tilde.shape[1])
+    proj_a = np.matmul(a, params.u_tilde, out=scratch_out(scratch, "proj_a", shape))
+    proj_v = np.matmul(v, params.v_tilde, out=scratch_out(scratch, "proj_v", shape))
+    h = np.multiply(proj_a, proj_v, out=scratch_out(scratch, "h", shape))
     if mask_scale is not None:
         h *= mask_scale
     z = h.reshape(-1, params.o, params.k).sum(axis=2)
@@ -138,7 +149,8 @@ def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
             out[tiny[0]] = scaled[low] / denom[tiny[0]]
     else:
         denom, out = None, z
-    return out, FBPCache(a, v, params, proj_a, proj_v, mask_scale, z, out, denom, tiny)
+    return out, FBPCache(a, v, params, proj_a, proj_v, mask_scale, z, out, denom, tiny,
+                         scratch)
 
 
 def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
@@ -156,8 +168,9 @@ def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
     d_h = d_z.repeat(params.k, axis=1)
     if cache.mask_scale is not None:
         d_h *= cache.mask_scale
-    d_proj_a = d_h * cache.proj_v
-    d_proj_v = d_h * cache.proj_a
+    scratch = cache.scratch
+    d_proj_a = np.multiply(d_h, cache.proj_v, out=scratch_out(scratch, "d_proj_a", d_h.shape))
+    d_proj_v = np.multiply(d_h, cache.proj_a, out=scratch_out(scratch, "d_proj_v", d_h.shape))
     if cache.tiny is not None:
         # scaled by the projections first, the division by the peak is
         # finite wherever the projection gradients are representable

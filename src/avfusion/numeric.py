@@ -7,15 +7,42 @@ package (``check_finite``, ``check_vec``); the arithmetic primitives below
 assume validated input.  Fourier transforms are numpy's (``np.fft``).
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimMismatch, NonFiniteValue
 
 # Batched code walks its rows in blocks whose widest temporaries hold at most
-# this many float64 values (128 KiB): below glibc's mmap threshold, they are
-# reused from the heap instead of mapped and faulted in on every operation,
-# and peak memory does not grow with the batch.
+# this many float64 values (128 KiB), so peak memory does not grow with the
+# batch.  Training reuses FBP's block buffers through a ``Scratch``.
 BLOCK_FLOATS = 1 << 14
+
+
+class Scratch:
+    """Buffers that one training call reuses across its row blocks.
+
+    ``take`` returns a C-contiguous float64 view of uninitialized values,
+    in a buffer grown when a block is larger than any before.  A view is
+    valid until the next ``take`` of its name, so a scratch belongs to one
+    caller.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def scratch_out(scratch: Scratch | None, name: str, shape: tuple):
+    """``out=`` for a numpy operation: a view from ``scratch``, or None
+    without one, so that numpy allocates as usual."""
+    return None if scratch is None else scratch.take(name, shape)
 
 
 def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
