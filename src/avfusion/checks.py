@@ -63,14 +63,15 @@ def check_fbp(seed: int, with_dropout: bool | None = None) -> float:
     a = rng.normal_vec(m)
     v = rng.normal_vec(n)
     upstream = rng.normal_vec(o)
-    params = {"u_tilde": rng.uniform_mat(m, k * o, -0.5, 0.5),
-              "v_tilde": rng.uniform_mat(n, k * o, -0.5, 0.5)}
+    fp = fbp.FBPParams(u_tilde=rng.uniform_mat(m, k * o, -0.5, 0.5),
+                       v_tilde=rng.uniform_mat(n, k * o, -0.5, 0.5),
+                       k=k, o=o, dropout_p=dropout_p)
+    params = {"u_tilde": fp.u_tilde, "v_tilde": fp.v_tilde}
     mask = (rng.uniform_vec(k * o) >= dropout_p).astype(np.float64) if with_dropout else None
     mask_scale = mask[None] / (1 - dropout_p) if with_dropout else None
 
+    # grad_check perturbs fp's own arrays in place
     def loss(ps):
-        fp = fbp.FBPParams(u_tilde=ps["u_tilde"], v_tilde=ps["v_tilde"],
-                           k=k, o=o, dropout_p=dropout_p)
         out, cache = fbp.fbp_rows(a[None], v[None], fp, mask_scale)
         return float(out[0] @ upstream), lambda: dict(zip(ps, fbp.fbp_rows_backward(
             cache, upstream[None])))
@@ -100,13 +101,12 @@ def check_patch_embed(seed: int) -> float:
     channels = rng.randint(5) + 2
     spec = audio.Spectrogram(values=rng.normal_mat(grid_h * patch_h, grid_w * patch_w))
     upstream = rng.normal_mat(grid_h * grid_w, channels)
-    init = audio.PatchEmbedParams.init(grid_h, grid_w, patch_h, patch_w, channels, rng)
-    params = {"projection": init.projection, "bias": init.bias}
+    embed = audio.PatchEmbedParams.init(grid_h, grid_w, patch_h, patch_w, channels, rng)
+    params = {"projection": embed.projection, "bias": embed.bias}
 
+    # grad_check perturbs embed's own arrays in place
     def loss(ps):
-        p = audio.PatchEmbedParams(grid_h=grid_h, grid_w=grid_w, channels=channels,
-                                   projection=ps["projection"], bias=ps["bias"])
-        out, cache = audio.patch_embed(spec, p)
+        out, cache = audio.patch_embed(spec, embed)
         return float(np.sum(out.vectors * upstream)), lambda: dict(zip(
             ps, audio.patch_embed_backward(cache, upstream)))
 

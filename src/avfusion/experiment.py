@@ -250,19 +250,22 @@ class FusionPipeline:
         return total, acc
 
     def predict_rows(self, audio, visual) -> np.ndarray:
-        """Class-reweighted predictions (B,) for stacked rows, in row blocks.
+        """Class-reweighted predictions (B,) for stacked rows.
 
-        As in training, numpy's overflow warnings are silenced; non-finite
-        scores raise NonFiniteValue.
+        The blocks share one ``Scratch``, made here, and write their class
+        probabilities into one (B, C) array, which is checked and reweighted
+        once.  As in training, numpy's overflow warnings are silenced;
+        non-finite scores raise NonFiniteValue.
         """
         step = self.block_rows(audio, visual)
-        preds = []
+        probs = np.empty((len(audio), self.clf.classes))
+        scratch = Scratch()
         with np.errstate(over="ignore", invalid="ignore"):
             for r0 in range(0, len(audio), step):
-                fused, _ = self.fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step])
-                scores = ClassScores(class_probs(fused, self.clf.weight, self.clf.bias))
-                preds.append(apply_class_weights(scores, self.class_weights)[1])
-        return np.concatenate(preds)
+                fused, _ = self.fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step],
+                                          scratch=scratch)
+                probs[r0:r0 + step] = class_probs(fused, self.clf.weight, self.clf.bias)
+            return apply_class_weights(ClassScores(probs), self.class_weights)[1]
 
 
 def stack_samples(model: FusionPipeline, samples):

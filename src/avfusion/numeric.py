@@ -15,17 +15,17 @@ from .errors import DimMismatch, NonFiniteValue
 
 # Batched code walks its rows in blocks whose widest temporaries hold at most
 # this many float64 values (128 KiB), so peak memory does not grow with the
-# batch.  Training reuses FBP's block buffers through a ``Scratch``.
+# batch.  Training and scoring reuse FBP's block buffers through a ``Scratch``.
 BLOCK_FLOATS = 1 << 14
 
 
 class Scratch:
-    """Buffers that one training call reuses across its row blocks.
+    """Buffers that one training or scoring call reuses across its row blocks.
 
     ``take`` returns a C-contiguous float64 view of uninitialized values,
     in a buffer grown when a block is larger than any before.  A view is
     valid until the next ``take`` of its name, so a scratch belongs to one
-    caller.
+    caller: ``train_rows`` and ``predict_rows`` each make one per call.
     """
 
     def __init__(self):

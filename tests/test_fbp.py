@@ -4,7 +4,7 @@ import pytest
 from avfusion.checks import check_fbp
 from avfusion.errors import DimMismatch, NumericalDivergence
 from avfusion.fbp import (FBPParams, dropout_scale, fbp_expand, fbp_fuse, fbp_rows,
-                          fbp_rows_backward)
+                          fbp_rows_backward, window_sums)
 from avfusion.rng import Rng
 
 
@@ -191,3 +191,51 @@ class TestExtremeScales:
         _, cache = fbp_rows(np.full((1, 3), 1e-310), np.full((1, 3), 1e-5), params)
         with pytest.raises(NumericalDivergence, match="FBP"):
             fbp_rows_backward(cache, np.ones((1, 4)))
+
+
+class _Sliced(np.ndarray):
+    """Counts the strided slices taken of it: the slice path takes k, the reduce none."""
+    slices = 0
+
+    def __getitem__(self, key):
+        _Sliced.slices += 1
+        return super().__getitem__(key)
+
+
+def _sums_and_slices(h, o, k):
+    _Sliced.slices = 0
+    z = window_sums(h.view(_Sliced), o, k)
+    return np.asarray(z), _Sliced.slices
+
+
+class TestWindowSums:
+    O = 4  # windows per row, so the slice path starts at 16*k rows
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_both_paths_give_the_bytes_of_the_reduce(self, k):
+        rng = np.random.default_rng(k)
+        threshold = 64 * k // self.O
+        for rows in (1, threshold - 1, threshold, threshold + 13):
+            h = rng.standard_normal((rows, k * self.O)) * np.exp(
+                rng.uniform(-40.0, 40.0, (rows, k * self.O)))
+            h[rng.random(h.shape) < 0.3] = 0.0
+            # windows whose dropout masked every unit of a negative product
+            # hold -0.0 only, and must sum to +0.0
+            masked = h[::3, :k]
+            masked[...] = -np.abs(masked) * 0.0
+            z, slices = _sums_and_slices(h, self.O, k)
+            assert z.tobytes() == h.reshape(-1, self.O, k).sum(axis=2).tobytes()
+            assert not np.signbit(z[::3, 0]).any()
+            assert slices == (k if k < 8 and rows >= threshold else 0), rows
+
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_eight_terms_or_more_take_the_reduce(self, k):
+        # in order from +0.0 a window of 1e16, 1, 1, 1 sums to 1e16; numpy's
+        # pairwise blocks give 1e16 + 2
+        rows = 64 * k
+        h = np.zeros((rows, k))
+        h[:, :4] = [1e16, 1.0, 1.0, 1.0]
+        z, slices = _sums_and_slices(h, 1, k)
+        assert slices == 0
+        assert z.tobytes() == h.reshape(-1, 1, k).sum(axis=2).tobytes()
+        assert np.all(z == 1e16 + 2.0)
