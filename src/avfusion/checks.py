@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 
 from . import attention, audio, fbp
-from .classifier import xent_rows
+from .classifier import SoftmaxParams
 from .config import ExperimentConfig
 from .experiment import FusionPipeline
 from .features import FeatureSet
@@ -66,17 +66,15 @@ def check_fbp(seed: int, with_dropout: bool | None = None) -> float:
     fp = fbp.FBPParams(u_tilde=rng.uniform_mat(m, k * o, -0.5, 0.5),
                        v_tilde=rng.uniform_mat(n, k * o, -0.5, 0.5),
                        k=k, o=o, dropout_p=dropout_p)
-    params = {"u_tilde": fp.u_tilde, "v_tilde": fp.v_tilde}
     mask = (rng.uniform_vec(k * o) >= dropout_p).astype(np.float64) if with_dropout else None
     mask_scale = mask[None] / (1 - dropout_p) if with_dropout else None
 
     # grad_check perturbs fp's own arrays in place
     def loss(ps):
-        out, cache = fbp.fbp_rows(a[None], v[None], fp, mask_scale)
-        return float(out[0] @ upstream), lambda: dict(zip(ps, fbp.fbp_rows_backward(
-            cache, upstream[None])))
+        out, cache = fp.fuse(a[None], v[None], mask_scale)
+        return float(out[0] @ upstream), lambda: fp.backward(cache, upstream[None])[0]
 
-    return grad_check(loss, params)
+    return grad_check(loss, fp.params)
 
 
 def check_classifier(seed: int) -> float:
@@ -84,14 +82,15 @@ def check_classifier(seed: int) -> float:
     classes, d_in = rng.randint(6) + 2, rng.randint(7) + 2
     x = rng.normal_vec(d_in)
     label = rng.randint(classes)
-    params = {"weight": rng.uniform_mat(classes, d_in, -0.5, 0.5),
-              "bias": rng.normal_vec(classes, 0.0, 0.3)}
+    clf = SoftmaxParams(weight=rng.uniform_mat(classes, d_in, -0.5, 0.5),
+                        bias=rng.normal_vec(classes, 0.0, 0.3))
 
+    # grad_check perturbs clf's own arrays in place
     def loss(ps):
-        value, backward = xent_rows(x[None], np.array([label]), ps["weight"], ps["bias"])
-        return value, lambda: dict(zip(ps, backward()))
+        value, cache = clf.loss(x[None], np.array([label]))
+        return value, lambda: clf.backward(cache)[0]
 
-    return grad_check(loss, params)
+    return grad_check(loss, clf.params)
 
 
 def check_patch_embed(seed: int) -> float:

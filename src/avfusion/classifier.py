@@ -1,6 +1,7 @@
 """Softmax classifier, hand-derived cross-entropy gradients, class re-weighting.
 
-``class_probs`` and ``xent_rows`` work on stacked (B, d_in) rows.
+``class_probs`` and ``xent_rows`` work on stacked (B, d_in) rows;
+``SoftmaxParams`` is the pipeline's classifier stage on top of ``xent_rows``.
 Training is ``experiment.descend``, the package's one gradient-descent loop.
 Predicted scores can be re-weighted by per-class positive factors
 before the argmax; the default weight vector used by the experiment configs
@@ -33,6 +34,18 @@ class SoftmaxParams:
         scale = 1.0 / np.sqrt(d_in)
         return cls(weight=rng.uniform_mat(classes, d_in, -scale, scale),
                    bias=np.zeros(classes))
+
+    @property
+    def params(self) -> dict:
+        return {"weight": self.weight, "bias": self.bias}
+
+    def loss(self, x: np.ndarray, labels: np.ndarray):
+        """(summed cross-entropy, cache); the loss ends the chain: ``backward`` takes no g."""
+        return xent_rows(x, labels, self.weight, self.bias)
+
+    def backward(self, cache):
+        d_weight, d_bias, d_x = cache()
+        return {"weight": d_weight, "bias": d_bias}, d_x
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """End-to-end experiment harness.
 
-A FusionPipeline composes one intra-modal attention per modality, a
-cross-modal fusion (factorized bilinear pooling or concatenation), and a
-softmax classifier.  Gradients are chained by hand through all stages, so
+A FusionPipeline chains stages: an intra-modal attention per modality
+(``IntraStage``), a cross-modal fusion (``fbp.FBPParams`` or ``Concat``) and
+a softmax classifier (``classifier.SoftmaxParams``).  Each has ``params``,
+its arrays by checkpoint name, a batched forward that returns (output,
+cache), and ``backward(cache, g)`` -> (gradients keyed like ``params``, input
+gradient or None).  Gradients are chained by hand through the stages, so
 the whole pipeline passes the central-difference gradient check.
 
 ``run_experiment`` generates a synthetic dataset, trains the pipeline with
@@ -18,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, fbp
-from .classifier import (ClassScores, ClassWeights, SoftmaxParams,
-                         apply_class_weights, class_probs, xent_rows)
+from .classifier import ClassScores, ClassWeights, SoftmaxParams, apply_class_weights, class_probs
 from .config import ExperimentConfig, config_summary, resolved_class_weights
 from .errors import DimMismatch, EmptyDataset, NumericalDivergence
 from .features import FeatureSet
@@ -56,7 +58,6 @@ class IntraStage:
     def __init__(self, kind: str, in_dim: int, hidden: int, rng: Rng):
         if kind not in attention.POOLS:
             raise ValueError(f"unknown intra fusion kind {kind!r}")
-        self.kind = kind
         self.in_dim = in_dim
         init, self._pool, self._backward, out_dim = attention.POOLS[kind]
         self.params = init(in_dim, hidden, rng)
@@ -68,11 +69,10 @@ class IntraStage:
         """(B, n, in_dim) stacked feature sets -> ((B, out_dim) pooled rows, cache)."""
         return self._pool(feats, *self.params.values())
 
-    def backward(self, cache, d_pooled: np.ndarray) -> dict:
-        """Parameter gradients summed over the batch; no input gradient is formed."""
-        grads = self._backward(cache, d_pooled)
-        # the trailing input gradient is None here and falls off the zip
-        return dict(zip(self.params, grads))
+    def backward(self, cache, d_pooled: np.ndarray):
+        """(parameter gradients summed over the batch, None: no input gradient)."""
+        *grads, d_feats = self._backward(cache, d_pooled)
+        return dict(zip(self.params, grads)), d_feats
 
     def forward(self, fs: FeatureSet):
         """One feature set -> (pooled vector, cache): the B=1 case of ``pool``."""
@@ -80,6 +80,29 @@ class IntraStage:
             raise DimMismatch(f"features have dim {fs.dim}, the stage expects {self.in_dim}")
         pooled, cache = self.pool(fs.vectors[None])
         return pooled[0], cache
+
+
+class Concat:
+    """Cross-modal fusion by concatenation, [a : v]: a cross stage without parameters."""
+
+    dropout_p = 0.0
+
+    def __init__(self, m: int, n: int):
+        self.params = {}
+        self.out_dim = self.width = m + n
+
+    def fuse(self, a: np.ndarray, v: np.ndarray, mask_scale=None, scratch=None):
+        """((B, m+n) rows, m): the cache is where ``backward`` splits."""
+        return np.concatenate([a, v], axis=1), a.shape[1]
+
+    def backward(self, m: int, g: np.ndarray):
+        return {}, (g[:, :m], g[:, m:])
+
+
+def _prefixed(**by_stage) -> dict:
+    """{"prefix.name": array} from prefix={name: array} keywords, in order."""
+    return {f"{prefix}.{name}": arr
+            for prefix, arrays in by_stage.items() for name, arr in arrays.items()}
 
 
 def _stack_sets(sets, name: str) -> np.ndarray:
@@ -102,33 +125,19 @@ class FusionPipeline:
     """
 
     def __init__(self, cfg: ExperimentConfig, rng: Rng):
-        self.cfg = cfg
         visual_in = enhanced_dim(cfg.visual_dim, cfg.enhance_mode)
         self.audio = IntraStage(cfg.audio_fusion, cfg.audio_dim, cfg.attn_hidden, rng)
         self.visual = IntraStage(cfg.visual_fusion, visual_in, cfg.attn_hidden, rng)
         m, n = self.audio.out_dim, self.visual.out_dim
-        if cfg.cross_mode == "fbp":
-            self.fbp_params = fbp.FBPParams.init(m, n, cfg.fbp_k, cfg.fbp_o,
-                                                 cfg.fbp_dropout, rng)
-            clf_in = cfg.fbp_o
-        else:
-            self.fbp_params = None
-            clf_in = m + n
-        self.clf = SoftmaxParams.init(cfg.classes, clf_in, rng)
+        self.cross = (fbp.FBPParams.init(m, n, cfg.fbp_k, cfg.fbp_o, cfg.fbp_dropout, rng)
+                      if cfg.cross_mode == "fbp" else Concat(m, n))
+        self.clf = SoftmaxParams.init(cfg.classes, self.cross.out_dim, rng)
         self.class_weights = ClassWeights(np.array(resolved_class_weights(cfg)))
 
     # --- parameter registry -------------------------------------------------
     def tensors(self) -> dict:
-        out = {}
-        for prefix, stage in (("audio", self.audio), ("visual", self.visual)):
-            for name, arr in stage.params.items():
-                out[f"{prefix}.{name}"] = arr
-        if self.fbp_params is not None:
-            out["fbp.u_tilde"] = self.fbp_params.u_tilde
-            out["fbp.v_tilde"] = self.fbp_params.v_tilde
-        out["clf.weight"] = self.clf.weight
-        out["clf.bias"] = self.clf.bias
-        return out
+        return _prefixed(audio=self.audio.params, visual=self.visual.params,
+                         fbp=self.cross.params, clf=self.clf.params)
 
     def set_tensors(self, tensors: dict) -> None:
         current = self.tensors()
@@ -170,16 +179,13 @@ class FusionPipeline:
     def block_rows(self, audio: np.ndarray, visual: np.ndarray) -> int:
         """Rows per block: one row's share of every stage's widest intermediate,
         summed, times the rows is at most BLOCK_FLOATS (51 rows by default)."""
-        fused = self.clf.weight.shape[1]
-        if self.fbp_params is not None:
-            fused = max(fused, self.fbp_params.u_tilde.shape[1])
         row_floats = (audio.shape[1] * self.audio.frame_floats
-                      + visual.shape[1] * self.visual.frame_floats + fused)
+                      + visual.shape[1] * self.visual.frame_floats + self.cross.width)
         return max(1, BLOCK_FLOATS // row_floats)
 
     @property
     def dropout_active(self) -> bool:
-        return self.fbp_params is not None and self.fbp_params.dropout_p > 0.0
+        return self.cross.dropout_p > 0.0
 
     # --- forward / backward on stacked rows ---------------------------------
     def fuse_rows(self, audio, visual, mask_scale=None, scratch: Scratch | None = None):
@@ -187,12 +193,8 @@ class FusionPipeline:
         FBP writes its wide arrays into ``scratch``'s buffers when given one."""
         a_vec, a_cache = self.audio.pool(audio)
         v_vec, v_cache = self.visual.pool(visual)
-        if self.fbp_params is not None:
-            fused, f_cache = fbp.fbp_rows(a_vec, v_vec, self.fbp_params, mask_scale,
-                                          scratch=scratch)
-        else:
-            fused, f_cache = np.concatenate([a_vec, v_vec], axis=1), None
-        return fused, (a_cache, v_cache, f_cache)
+        fused, x_cache = self.cross.fuse(a_vec, v_vec, mask_scale, scratch)
+        return fused, (a_cache, v_cache, x_cache)
 
     def batch_loss(self, audio, visual, labels, mask_scale=None,
                    scratch: Scratch | None = None):
@@ -203,24 +205,15 @@ class FusionPipeline:
         None for no dropout.  With a ``scratch``, call ``backward()`` before
         the scratch is used again.
         """
-        fused, (a_cache, v_cache, f_cache) = self.fuse_rows(audio, visual, mask_scale, scratch)
-        loss, xent_backward = xent_rows(fused, labels, self.clf.weight, self.clf.bias)
+        fused, (a_cache, v_cache, x_cache) = self.fuse_rows(audio, visual, mask_scale, scratch)
+        loss, c_cache = self.clf.loss(fused, labels)
 
         def backward():
-            d_weight, d_bias, d_fused = xent_backward()
-            grads = {"clf.weight": d_weight, "clf.bias": d_bias}
-            if f_cache is not None:
-                d_u, d_v_tilde, d_a, d_v = fbp.fbp_rows_backward(f_cache, d_fused)
-                grads["fbp.u_tilde"] = d_u
-                grads["fbp.v_tilde"] = d_v_tilde
-            else:
-                d_a = d_fused[:, :self.audio.out_dim]
-                d_v = d_fused[:, self.audio.out_dim:]
-            for prefix, stage, cache, d_vec in (("audio", self.audio, a_cache, d_a),
-                                                ("visual", self.visual, v_cache, d_v)):
-                for name, g in stage.backward(cache, d_vec).items():
-                    grads[f"{prefix}.{name}"] = g
-            return grads
+            c_grads, d_fused = self.clf.backward(c_cache)
+            x_grads, (d_a, d_v) = self.cross.backward(x_cache, d_fused)
+            a_grads, _ = self.audio.backward(a_cache, d_a)
+            v_grads, _ = self.visual.backward(v_cache, d_v)
+            return _prefixed(clf=c_grads, fbp=x_grads, audio=a_grads, visual=v_grads)
 
         return loss, backward
 
@@ -237,8 +230,7 @@ class FusionPipeline:
         total, acc = 0.0, None
         for r0 in range(0, len(labels), step):
             r1 = min(r0 + step, len(labels))
-            mask = (None if key is None
-                    else fbp.dropout_scale(key, r0, r1, self.fbp_params, scratch))
+            mask = None if key is None else self.cross.dropout_mask(key, r0, r1, scratch)
             loss, backward = self.batch_loss(audio[r0:r1], visual[r0:r1], labels[r0:r1], mask,
                                              scratch)
             total += loss
@@ -266,12 +258,6 @@ class FusionPipeline:
                                           scratch=scratch)
                 probs[r0:r0 + step] = class_probs(fused, self.clf.weight, self.clf.bias)
             return apply_class_weights(ClassScores(probs), self.class_weights)[1]
-
-
-def stack_samples(model: FusionPipeline, samples):
-    """(audio, visual, labels) arrays for a list of (audio, visual, label) triples."""
-    return model.stack([s[0] for s in samples], [s[1] for s in samples],
-                       [s[2] for s in samples])
 
 
 def descend(tensors: dict, n: int, step, epochs: int, lr: float, rng: Rng | None,
@@ -334,7 +320,7 @@ def train_pipeline(model: FusionPipeline, samples, epochs: int, lr: float,
     stacked once; returns the loss curve."""
     if not samples:
         raise EmptyDataset("no training samples")
-    return train_rows(model, *stack_samples(model, samples), epochs, lr, rng, batch_size)
+    return train_rows(model, *model.stack(*zip(*samples)), epochs, lr, rng, batch_size)
 
 
 def split_indices(n: int, rng: Rng, train_frac: float = 0.8):

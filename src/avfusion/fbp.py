@@ -9,9 +9,9 @@ over non-overlapping windows of width k, and l2 normalization:
     out = z / ||z||                  # zero vector passes through unchanged
 
 ``fbp_rows`` and ``fbp_rows_backward`` are the implementation, on rows of a
-batch, and ``FusionPipeline`` runs them; ``fbp_fuse`` fuses one pair, the
-validated eval-mode (no dropout) B=1 case.  Concatenation, the other
-cross-modal fusion, is one line of ``FusionPipeline.fuse_rows``.
+batch, which ``FBPParams.fuse`` and ``.backward`` run as the pipeline's cross
+stage; ``fbp_fuse`` fuses one pair, the validated eval-mode B=1 case.  The
+other cross stage, concatenation, is ``experiment.Concat``.
 
 Each output entry is implicitly a bilinear form a' W_i v with
 W_i = sum_j u_col[(i-1)k+j] v_col[(i-1)k+j]'; ``fbp_expand`` materializes
@@ -50,6 +50,8 @@ class FBPParams:
             raise DimMismatch(
                 f"projections must have k*o={ko} columns, got "
                 f"{self.u_tilde.shape} and {self.v_tilde.shape}")
+        # the fused width, and the floats per row of the widest intermediate
+        self.out_dim, self.width = self.o, ko
 
     @classmethod
     def init(cls, m: int, n: int, k: int, o: int, dropout_p: float, rng: Rng) -> "FBPParams":
@@ -57,11 +59,25 @@ class FBPParams:
         v = rng.uniform_mat(n, k * o, -1.0 / np.sqrt(n), 1.0 / np.sqrt(n))
         return cls(u_tilde=u, v_tilde=v, k=k, o=o, dropout_p=dropout_p)
 
+    # --- as the cross stage of ``experiment.FusionPipeline`` ---------------
+    @property
+    def params(self) -> dict:
+        return {"u_tilde": self.u_tilde, "v_tilde": self.v_tilde}
+
+    def dropout_mask(self, key: int, first_row: int, stop_row: int, scratch=None):
+        return dropout_scale(key, first_row, stop_row, self, scratch)
+
+    def fuse(self, a: np.ndarray, v: np.ndarray, mask_scale=None, scratch=None):
+        return fbp_rows(a, v, self, mask_scale, scratch)
+
+    def backward(self, cache: "FBPCache", g: np.ndarray):
+        d_u, d_v_tilde, d_a, d_v = fbp_rows_backward(cache, g)
+        return {"u_tilde": d_u, "v_tilde": d_v_tilde}, (d_a, d_v)
+
 
 @dataclass
 class FusedVec:
     values: np.ndarray
-    norm_applied: bool
 
 
 class FBPCache(NamedTuple):
@@ -73,7 +89,7 @@ class FBPCache(NamedTuple):
     mask_scale: np.ndarray | None  # dropout mask / (1 - p); None without dropout
     z: np.ndarray             # (B, o) pre-norm pooled rows
     out: np.ndarray           # (B, o) fused rows
-    denom: np.ndarray | None  # (B, 1) |z|, or 1 where z = 0; None without normalization
+    denom: np.ndarray         # (B, 1) |z|, or 1 where z = 0
     # (rows, their (R, 1) peaks) where a nonzero |z|^2 underflowed, and denom
     # holds |z| / peak; None when no row did
     tiny: tuple | None
@@ -133,8 +149,7 @@ def window_sums(h: np.ndarray, o: int, k: int) -> np.ndarray:
 
 
 def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
-             mask_scale: np.ndarray | None = None, normalize: bool = True,
-             scratch: Scratch | None = None):
+             mask_scale: np.ndarray | None = None, scratch: Scratch | None = None):
     """Batched FBP: rows a (B, m) and v (B, n) -> ((B, o) fused rows, cache).
 
     With a ``scratch``, the (B, k*o) projections and product of this call,
@@ -143,7 +158,7 @@ def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
     additions when k < 8 and the block holds at least 64*k windows, else by
     one reduce, with the same bytes either way.
     """
-    shape = (len(a), params.u_tilde.shape[1])
+    shape = (len(a), params.width)
     proj_a = np.matmul(a, params.u_tilde, out=scratch_out(scratch, "proj_a", shape))
     proj_v = np.matmul(v, params.v_tilde, out=scratch_out(scratch, "proj_v", shape))
     h = np.multiply(proj_a, proj_v, out=scratch_out(scratch, "h", shape))
@@ -151,33 +166,30 @@ def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
         h *= mask_scale
     z = window_sums(h, params.o, params.k)
     tiny = None
-    if normalize:
-        # a sum of squares that overflows, or underflows on a nonzero row,
-        # is recomputed scaled by the row's largest entry
-        with np.errstate(over="ignore"):
-            sq = (z * z).sum(axis=1, keepdims=True)
-        z_norm = np.sqrt(sq)
-        if not _TINY <= sq.min() <= sq.max() < np.inf:
-            extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
-            peak = np.abs(z[extreme]).max(axis=1, keepdims=True)
-            peak[peak == 0.0] = 1.0  # a zero row keeps norm 0
-            scaled = z[extreme] / peak
-            unit_norm = np.sqrt((scaled ** 2).sum(axis=1, keepdims=True))
-            z_norm[extreme] = peak * unit_norm
-            low = (sq[extreme, 0] < _TINY) & (unit_norm[:, 0] > 0.0)
-            if low.any():
-                tiny = extreme[low], peak[low]
-        # |z|, or 1 where z = 0 so that a zero vector passes through unchanged
-        denom = z_norm + (z_norm == 0.0)
-        out = z / denom
-        if tiny is not None:
-            # a nonzero row whose |z|^2 underflowed stays in scaled form: z/peak
-            # over |z|/peak loses no bits to the subnormal |z|, and the
-            # backward's division by |z| cannot overflow
-            denom[tiny[0]] = unit_norm[low]
-            out[tiny[0]] = scaled[low] / denom[tiny[0]]
-    else:
-        denom, out = None, z
+    # a sum of squares that overflows, or underflows on a nonzero row,
+    # is recomputed scaled by the row's largest entry
+    with np.errstate(over="ignore"):
+        sq = (z * z).sum(axis=1, keepdims=True)
+    z_norm = np.sqrt(sq)
+    if not _TINY <= sq.min() <= sq.max() < np.inf:
+        extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
+        peak = np.abs(z[extreme]).max(axis=1, keepdims=True)
+        peak[peak == 0.0] = 1.0  # a zero row keeps norm 0
+        scaled = z[extreme] / peak
+        unit_norm = np.sqrt((scaled ** 2).sum(axis=1, keepdims=True))
+        z_norm[extreme] = peak * unit_norm
+        low = (sq[extreme, 0] < _TINY) & (unit_norm[:, 0] > 0.0)
+        if low.any():
+            tiny = extreme[low], peak[low]
+    # |z|, or 1 where z = 0 so that a zero vector passes through unchanged
+    denom = z_norm + (z_norm == 0.0)
+    out = z / denom
+    if tiny is not None:
+        # a nonzero row whose |z|^2 underflowed stays in scaled form: z/peak
+        # over |z|/peak loses no bits to the subnormal |z|, and the
+        # backward's division by |z| cannot overflow
+        denom[tiny[0]] = unit_norm[low]
+        out[tiny[0]] = scaled[low] / denom[tiny[0]]
     return out, FBPCache(a, v, params, proj_a, proj_v, mask_scale, z, out, denom, tiny,
                          scratch)
 
@@ -188,12 +200,9 @@ def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
     Projection gradients are summed over the batch; d_a and d_v are per row.
     """
     params = cache.params
-    if cache.denom is not None:
-        # out = z/|z|: d_z = (g - (g.out) out) / |z|; zero rows give d_z = g,
-        # and the tiny rows peak * d_z
-        d_z = (g - (g * cache.out).sum(axis=1, keepdims=True) * cache.out) / cache.denom
-    else:
-        d_z = g
+    # out = z/|z|: d_z = (g - (g.out) out) / |z|; zero rows give d_z = g, and
+    # the tiny rows peak * d_z
+    d_z = (g - (g * cache.out).sum(axis=1, keepdims=True) * cache.out) / cache.denom
     d_h = d_z.repeat(params.k, axis=1)
     if cache.mask_scale is not None:
         d_h *= cache.mask_scale
@@ -217,8 +226,7 @@ def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
     return d_u, d_v_tilde, d_a, d_v
 
 
-def fbp_fuse(a: np.ndarray, v: np.ndarray, params: FBPParams, mode: str = "eval",
-             normalize: bool = True) -> FBPResult:
+def fbp_fuse(a: np.ndarray, v: np.ndarray, params: FBPParams, mode: str = "eval") -> FBPResult:
     """Fuse two modality vectors without dropout: the validated B=1 case of ``fbp_rows``.
 
     ``mode`` must be "eval"; training runs on ``fbp_rows`` with a
@@ -232,15 +240,15 @@ def fbp_fuse(a: np.ndarray, v: np.ndarray, params: FBPParams, mode: str = "eval"
         raise DimMismatch(f"audio dim {a.shape[0]} != u_tilde rows {params.u_tilde.shape[0]}")
     if v.shape[0] != params.v_tilde.shape[0]:
         raise DimMismatch(f"visual dim {v.shape[0]} != v_tilde rows {params.v_tilde.shape[0]}")
-    out, cache = fbp_rows(a[None], v[None], params, normalize=normalize)
-    return FBPResult(fused=FusedVec(values=out[0], norm_applied=normalize), cache=cache)
+    out, cache = fbp_rows(a[None], v[None], params)
+    return FBPResult(fused=FusedVec(values=out[0]), cache=cache)
 
 
 def fbp_expand(params: FBPParams) -> list[np.ndarray]:
     """Materialize the o implicit bilinear matrices W_i (each m x n).
 
-    For all a, v: a' W_i v equals the pre-dropout, pre-normalization z_i of
-    ``fbp_fuse``.
+    For all a, v: a' W_i v equals the pre-dropout, pre-normalization z_i that
+    ``fbp_fuse`` keeps in its cache.
     """
     mats = []
     for i in range(params.o):

@@ -33,13 +33,3 @@ class FeatureSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __repr__(self) -> str:
-        return f"FeatureSet(n={self.n}, dim={self.dim})"
-

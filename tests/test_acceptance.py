@@ -49,7 +49,7 @@ def test_criterion_2_fbp_factorization_equivalence():
         k, o = rng.randint(4) + 1, rng.randint(3) + 1
         params = FBPParams.init(m, n, k, o, 0.0, rng)
         a, v = rng.normal_vec(m), rng.normal_vec(n)
-        z = fbp_fuse(a, v, params, normalize=False).fused.values
+        z = fbp_fuse(a, v, params).cache.z[0]
         explicit = np.array([a @ w @ v for w in fbp_expand(params)])
         worst = max(worst, float(np.max(np.abs(z - explicit))))
     assert worst < 1e-9

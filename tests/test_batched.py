@@ -14,8 +14,7 @@ from avfusion.checks import GRAD_TOL
 from avfusion.config import ExperimentConfig
 from avfusion.classifier import ClassScores, apply_class_weights, class_probs
 from avfusion.errors import DimMismatch, NonFiniteValue
-from avfusion.experiment import (FusionPipeline, dataset_rows, prepare_dataset, stack_samples,
-                                 train_pipeline)
+from avfusion.experiment import FusionPipeline, dataset_rows, prepare_dataset, train_pipeline
 from avfusion.features import FeatureSet
 from avfusion.gradcheck import grad_check
 from avfusion.rng import Rng, _GOLDEN, _MASK64, _splitmix64, counter_u64
@@ -42,7 +41,7 @@ def _rows_of_update(overrides, count=9):
     cfg = small_cfg(**overrides)
     dataset, _, _, rngs = prepare_dataset(cfg)
     model = FusionPipeline(cfg, rngs["init"])
-    return model, stack_samples(model, dataset.samples[:count])
+    return model, model.stack(*zip(*dataset.samples[:count]))
 
 
 def _max_rel(a, b) -> float:
@@ -59,7 +58,7 @@ def test_batched_update_equals_sum_of_single_samples(overrides, block_floats, mo
         assert model.block_rows(audio, visual) < len(labels)  # several blocks
     loss, grads = model.update_loss(audio, visual, labels, key)
 
-    mask = None if key is None else fbp.dropout_scale(KEY, 0, len(labels), model.fbp_params)
+    mask = None if key is None else fbp.dropout_scale(KEY, 0, len(labels), model.cross)
     ref_loss, ref = 0.0, None
     for r in range(len(labels)):
         rows = slice(r, r + 1)
@@ -163,7 +162,7 @@ def test_scratch_reuse_leaks_nothing_between_blocks(monkeypatch):
     dataset, train_idx, _, rngs = prepare_dataset(cfg)
     samples = [dataset.samples[i] for i in train_idx]
     model = FusionPipeline(cfg, Rng(3))
-    audio, visual, labels = stack_samples(model, samples)
+    audio, visual, labels = model.stack(*zip(*samples))
     assert model.dropout_active and len(labels) % 5 == 2
     assert model.block_rows(audio, visual) == 2
     curve = train_pipeline(model, samples, cfg.epochs, 0.3, Rng(4), batch_size=5)
@@ -295,8 +294,8 @@ def test_labels_outside_the_classes_raise_dim_mismatch(label):
 def test_pipeline_gradients_with_frozen_dropout_mask_at_b3(kind):
     model, (audio, visual, labels) = _rows_of_update(
         dict(audio_fusion=kind, visual_fusion="transformer", classes=3, samples=3), count=3)
-    assert model.fbp_params.dropout_p == 0.3
-    mask = fbp.dropout_scale(KEY, 0, 3, model.fbp_params)
+    assert model.cross.dropout_p == 0.3
+    mask = fbp.dropout_scale(KEY, 0, 3, model.cross)
     assert np.any(mask == 0.0) and np.any(mask > 0.0)
 
     assert grad_check(lambda _: model.batch_loss(audio, visual, labels, mask),

@@ -8,8 +8,7 @@ from avfusion.config import ExperimentConfig
 from avfusion.errors import DimMismatch, EmptyDataset
 from avfusion.experiment import (FusionPipeline, IntraStage, compute_metrics,
                                  evaluate_pipeline, experiment_rngs, prepare_dataset,
-                                 run_experiment, split_indices, stack_samples,
-                                 train_pipeline)
+                                 run_experiment, split_indices, train_pipeline)
 from avfusion.featfile import load_checkpoint
 from avfusion.features import FeatureSet
 from avfusion.rng import Rng
@@ -255,7 +254,7 @@ class TestEvaluateOnArrays:
                        rngs["train"])
         for indices in (test_idx, range(len(dataset.labels)), [5, 5, 0]):
             samples = [dataset.samples[i] for i in indices]
-            audio, visual, labels = stack_samples(model, samples)
+            audio, visual, labels = model.stack(*zip(*samples))
             preds = model.predict_rows(audio, visual)
             assert len(indices) < 4 or len(set(preds.tolist())) > 1
             want = compute_metrics(labels, preds, classes)

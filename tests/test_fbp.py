@@ -18,7 +18,6 @@ class TestFuse:
         res = fbp_fuse(np.array([2.0]), np.array([3.0]), scalar_params())
         assert np.allclose(res.cache.z, [6.0])
         assert np.allclose(res.fused.values, [1.0])  # normalized scalar
-        assert res.fused.norm_applied
 
     def test_zero_vector_passes_through_normalization(self):
         res = fbp_fuse(np.zeros(1), np.array([3.0]), scalar_params())
@@ -28,8 +27,8 @@ class TestFuse:
         # oracle: a' W_1 v with W_1 = 1*3 + 2*4 = 11 for rank-2 factors
         params = FBPParams(u_tilde=np.array([[1.0, 2.0]]),
                            v_tilde=np.array([[3.0, 4.0]]), k=2, o=1, dropout_p=0.0)
-        res = fbp_fuse(np.array([1.0]), np.array([1.0]), params, normalize=False)
-        assert np.allclose(res.fused.values, [11.0])
+        res = fbp_fuse(np.array([1.0]), np.array([1.0]), params)
+        assert np.allclose(res.cache.z, [11.0])
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -94,7 +93,7 @@ class TestExpand:
             k, o = rng.randint(4) + 1, rng.randint(3) + 1
             params = FBPParams.init(m, n, k, o, 0.0, rng)
             a, v = rng.normal_vec(m), rng.normal_vec(n)
-            z = fbp_fuse(a, v, params, normalize=False).fused.values
+            z = fbp_fuse(a, v, params).cache.z[0]
             explicit = np.array([a @ w @ v for w in fbp_expand(params)])
             assert np.max(np.abs(z - explicit)) < 1e-9
 
@@ -111,7 +110,7 @@ class TestDropout:
         # one key per trial, row 0 of each
         mask = np.vstack([dropout_scale(rng.next_u64(), 0, 1, params) for _ in range(trials)])
         ones = np.ones((trials, 1))
-        mean = fbp_rows(ones, ones, params, mask, normalize=False)[0].mean(axis=0)
+        mean = fbp_rows(ones, ones, params, mask)[1].z.mean(axis=0)
         sigma = np.abs(h) * np.sqrt(p / (1.0 - p)) / np.sqrt(trials)
         assert np.all(np.abs(mean - h) <= 3.0 * sigma + 1e-12)
 

@@ -1,7 +1,8 @@
-"""Repository-level checks: the README's code runs, and no public helper of
-the package exists only for the tests."""
+"""Repository-level checks: the README's code runs, no public helper of the
+package exists only for the tests, and the guard-rail runner repeats itself."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -51,3 +52,16 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = sorted(f"{module}:{name}" for name, module in definitions.items()
                     if name not in used and name not in TEST_ONLY)
     assert not unused, f"public names that only the tests reference: {unused}"
+
+
+def test_guard_runner_repeats_a_tiny_run(tmp_path):
+    spec = importlib.util.spec_from_file_location("guard", ROOT / "tools" / "guard.py")
+    guard = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(guard)
+    keys = {"seed": 5, "data.samples": 14, "classifier.epochs": 2, "audio.frames": 2,
+            "visual.frames": 2, "fbp.o": 8}
+    first = guard.run_line("tiny", keys, str(tmp_path / "first"))
+    assert first == guard.run_line("tiny", keys, str(tmp_path / "second"))
+    assert first.startswith("tiny [seed=5,data.samples=14,")
+    assert re.search(r" accuracy=\S+ checkpoint\.bin=[0-9a-f]{64} report\.txt=[0-9a-f]{64} "
+                     r"confusion\.csv=[0-9a-f]{64}$", first)
