@@ -8,10 +8,12 @@ power spectrum, and stacks the log energies with their deltas and
 delta-deltas into a 3-channel cube.  A window longer than the FFT (40 ms at
 44.1 or 48 kHz) is rejected before anything is framed.
 
-A learned linear patch embedder turns a spectrogram into a FeatureSet: the
-time-frequency grid is tiled into grid_h x grid_w patches (rows of the grid
-tile the time axis), each patch is flattened row-major and projected to a
-fixed channel dimension.
+``PatchEmbedParams`` is a linear patch-embedding stage with the pipeline's
+stage interface (``params``, a batched forward ``embed``, ``backward``): it
+tiles each (H, W) spectrogram of a batch into grid_h x grid_w patches (rows
+of the grid tile the time axis), flattens each patch row-major and projects
+it to a fixed channel dimension.  ``patch_embed`` is its B=1 case, which
+returns a FeatureSet.
 """
 
 import struct
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ClipTooShort, CorruptHeader, DimMismatch,
-                     GridTooFineForInput, MissingForwardCache,
+from .errors import (ClipTooShort, CorruptHeader, DimMismatch, GridTooFineForInput,
                      UnsupportedFormat)
 from .features import FeatureSet
 from .numeric import check_finite
@@ -69,26 +70,6 @@ class Spectrogram:
 @dataclass
 class MelCube:
     values: np.ndarray  # (bands, frames, 3): static, delta, delta-delta
-
-    @property
-    def bands(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def static(self) -> np.ndarray:
-        return self.values[:, :, 0]
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.values[:, :, 1]
-
-    @property
-    def delta_delta(self) -> np.ndarray:
-        return self.values[:, :, 2]
 
 
 def read_wav(path) -> AudioClip:
@@ -278,43 +259,46 @@ class PatchEmbedParams:
                    projection=rng.uniform_mat(pixels, channels, -scale, scale),
                    bias=np.zeros(channels))
 
+    @property
+    def params(self) -> dict:
+        return {"projection": self.projection, "bias": self.bias}
 
-@dataclass
-class PatchEmbedCache:
-    patches: np.ndarray  # (n, patch_pixels) flattened inputs
-    params: PatchEmbedParams
+    def embed(self, specs: np.ndarray):
+        """(B, H, W) spectrograms -> ((B, grid_h*grid_w, channels) rows, patches).
+
+        The grid tiles each spectrogram after truncating remainder rows and
+        columns on the bottom and right; patches are emitted row-major.  The
+        cache ``patches`` is their (B*grid_h*grid_w, patch_pixels) pixels.
+        """
+        grid_h, grid_w = self.grid_h, self.grid_w
+        batch, frames, bins = specs.shape
+        patch_h = frames // grid_h
+        patch_w = bins // grid_w
+        if patch_h < 1 or patch_w < 1:
+            raise GridTooFineForInput(
+                f"grid {grid_h}x{grid_w} too fine for spectrogram {frames}x{bins}")
+        pixels = patch_h * patch_w
+        if self.projection.shape != (pixels, self.channels):
+            raise DimMismatch(
+                f"projection shape {self.projection.shape} != ({pixels}, {self.channels})")
+        tiles = specs[:, :grid_h * patch_h, :grid_w * patch_w].reshape(
+            batch, grid_h, patch_h, grid_w, patch_w)
+        patches = tiles.transpose(0, 1, 3, 2, 4).reshape(batch * grid_h * grid_w, pixels)
+        out = patches @ self.projection + self.bias
+        return out.reshape(batch, grid_h * grid_w, self.channels), patches
+
+    def backward(self, patches: np.ndarray, g: np.ndarray):
+        """(gradients summed over the batch, None: no input gradient) for
+        (B, grid_h*grid_w, channels) upstream gradients."""
+        g = g.reshape(len(patches), self.channels)
+        return {"projection": patches.T @ g, "bias": np.sum(g, axis=0)}, None
 
 
 def patch_embed(spec: Spectrogram, params: PatchEmbedParams):
-    """Tile, flatten, and project spectrogram patches into a FeatureSet.
+    """One spectrogram's patches as a FeatureSet: the B=1 case of ``params.embed``.
 
-    The grid tiles the spectrogram after truncating remainder rows/columns on
-    the bottom/right; patches are emitted row-major.  Returns
-    (FeatureSet, cache) with n = grid_h * grid_w vectors of dim channels.
+    Returns (FeatureSet of n = grid_h * grid_w vectors of dim channels, the
+    (n, patch_pixels) patches that ``params.backward`` takes).
     """
-    grid_h, grid_w = params.grid_h, params.grid_w
-    patch_h = spec.frames // grid_h
-    patch_w = spec.bins // grid_w
-    if patch_h < 1 or patch_w < 1:
-        raise GridTooFineForInput(
-            f"grid {grid_h}x{grid_w} too fine for spectrogram {spec.frames}x{spec.bins}")
-    pixels = patch_h * patch_w
-    if params.projection.shape != (pixels, params.channels):
-        raise DimMismatch(
-            f"projection shape {params.projection.shape} != ({pixels}, {params.channels})")
-    tiles = spec.values[:grid_h * patch_h, :grid_w * patch_w].reshape(
-        grid_h, patch_h, grid_w, patch_w)
-    patches = tiles.transpose(0, 2, 1, 3).reshape(grid_h * grid_w, pixels)
-    out = patches @ params.projection + params.bias
-    return FeatureSet(out), PatchEmbedCache(patches=patches, params=params)
-
-
-def patch_embed_backward(cache: PatchEmbedCache, upstream: np.ndarray):
-    """Returns (d_projection, d_bias) given per-vector upstream gradients (n, C)."""
-    if cache is None:
-        raise MissingForwardCache("patch_embed_backward needs the forward cache")
-    g = np.asarray(upstream, dtype=np.float64)
-    n, channels = cache.patches.shape[0], cache.params.channels
-    if g.shape != (n, channels):
-        raise DimMismatch(f"upstream must have shape ({n}, {channels}), got {g.shape}")
-    return cache.patches.T @ g, np.sum(g, axis=0)
+    out, patches = params.embed(spec.values[None])
+    return FeatureSet(out[0]), patches

@@ -94,22 +94,21 @@ def check_classifier(seed: int) -> float:
 
 
 def check_patch_embed(seed: int) -> float:
+    """Patch-embedding gradients of the batched stage at B=1."""
     rng = Rng(seed)
     grid_h, grid_w = rng.randint(3) + 1, rng.randint(3) + 1
     patch_h, patch_w = rng.randint(3) + 2, rng.randint(3) + 2
     channels = rng.randint(5) + 2
-    spec = audio.Spectrogram(values=rng.normal_mat(grid_h * patch_h, grid_w * patch_w))
-    upstream = rng.normal_mat(grid_h * grid_w, channels)
+    spec = rng.normal_mat(grid_h * patch_h, grid_w * patch_w)[None]
+    upstream = rng.normal_mat(grid_h * grid_w, channels)[None]
     embed = audio.PatchEmbedParams.init(grid_h, grid_w, patch_h, patch_w, channels, rng)
-    params = {"projection": embed.projection, "bias": embed.bias}
 
     # grad_check perturbs embed's own arrays in place
     def loss(ps):
-        out, cache = audio.patch_embed(spec, embed)
-        return float(np.sum(out.vectors * upstream)), lambda: dict(zip(
-            ps, audio.patch_embed_backward(cache, upstream)))
+        out, patches = embed.embed(spec)
+        return float(np.sum(out * upstream)), lambda: embed.backward(patches, upstream)[0]
 
-    return grad_check(loss, params)
+    return grad_check(loss, embed.params)
 
 
 def check_pipeline(seed: int, cross_mode: str = "fbp",

@@ -1,7 +1,8 @@
 """Softmax classifier, hand-derived cross-entropy gradients, class re-weighting.
 
-``class_probs`` and ``xent_rows`` work on stacked (B, d_in) rows;
-``SoftmaxParams`` is the pipeline's classifier stage on top of ``xent_rows``.
+``SoftmaxParams`` is the pipeline's classifier stage: ``loss`` sums the
+cross-entropy of stacked (B, d_in) rows and ``backward`` takes its cache.
+Scoring calls ``class_probs`` on the stage's arrays.
 Training is ``experiment.descend``, the package's one gradient-descent loop.
 Predicted scores can be re-weighted by per-class positive factors
 before the argmax; the default weight vector used by the experiment configs
@@ -40,12 +41,20 @@ class SoftmaxParams:
         return {"weight": self.weight, "bias": self.bias}
 
     def loss(self, x: np.ndarray, labels: np.ndarray):
-        """(summed cross-entropy, cache); the loss ends the chain: ``backward`` takes no g."""
-        return xent_rows(x, labels, self.weight, self.bias)
+        """(summed cross-entropy over the rows x (B, d_in), cache (x, labels, probs)).
+
+        The loss ends the chain: ``backward`` takes no g.
+        """
+        probs = class_probs(x, self.weight, self.bias)
+        rows = np.arange(labels.shape[0])
+        loss = -float(np.log(np.maximum(probs[rows, labels], 1e-300)).sum())
+        return loss, (x, labels, probs)
 
     def backward(self, cache):
-        d_weight, d_bias, d_x = cache()
-        return {"weight": d_weight, "bias": d_bias}, d_x
+        """(gradients summed over the rows, d_x per row); d_logits = probs - onehot(label)."""
+        x, labels, probs = cache
+        d_logits = probs - (np.arange(probs.shape[1]) == labels[:, None])
+        return {"weight": d_logits.T @ x, "bias": d_logits.sum(axis=0)}, d_logits @ self.weight
 
 
 @dataclass
@@ -74,24 +83,6 @@ class ClassScores:
 def class_probs(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Softmax class probabilities for input rows x (B, d_in): (B, C)."""
     return softmax(x @ weight.T + bias)
-
-
-def xent_rows(x: np.ndarray, labels: np.ndarray, weight: np.ndarray, bias: np.ndarray):
-    """Summed cross-entropy over rows, and a thunk for its hand-derived gradients.
-
-    Returns (loss sum, backward); ``backward()`` returns (d_weight, d_bias,
-    d_x): parameter gradients are summed over the rows, d_x is per row;
-    d_logits = probs - onehot(label).
-    """
-    probs = class_probs(x, weight, bias)
-    rows = np.arange(labels.shape[0])
-    loss = -float(np.log(np.maximum(probs[rows, labels], 1e-300)).sum())
-
-    def backward():
-        d_logits = probs - (np.arange(probs.shape[1]) == labels[:, None])
-        return d_logits.T @ x, d_logits.sum(axis=0), d_logits @ weight
-
-    return loss, backward
 
 
 def apply_class_weights(scores: ClassScores, weights: ClassWeights):

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+All of them derive from ``AvfusionError``.  A stage's backward takes its
+forward's cache as an argument, so no error type covers a backward run
+without one.
+"""
 
 
 class AvfusionError(Exception):
@@ -11,10 +16,6 @@ class DimMismatch(AvfusionError):
 
 class NonFiniteValue(AvfusionError, ValueError):
     """An input holds NaN or Inf; rejected once, where it enters the package."""
-
-
-class MissingForwardCache(AvfusionError):
-    """A backward pass was requested without the matching forward cache."""
 
 
 class NonDeterministicLoss(AvfusionError):

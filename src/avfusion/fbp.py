@@ -8,15 +8,15 @@ over non-overlapping windows of width k, and l2 normalization:
     z_i = sum of window i of h       # o entries
     out = z / ||z||                  # zero vector passes through unchanged
 
-``fbp_rows`` and ``fbp_rows_backward`` are the implementation, on rows of a
-batch, which ``FBPParams.fuse`` and ``.backward`` run as the pipeline's cross
-stage; ``fbp_fuse`` fuses one pair, the validated eval-mode B=1 case.  The
-other cross stage, concatenation, is ``experiment.Concat``.
+``FBPParams`` is the pipeline's FBP cross stage: ``fuse`` runs on rows of
+a batch, ``backward`` takes its cache, and ``dropout_mask`` draws the
+rescaled mask ``fuse`` applies in training.  ``fbp_fuse`` fuses one pair,
+the validated eval-mode B=1 case.  The other cross stage, concatenation, is
+``experiment.Concat``.
 
 Each output entry is implicitly a bilinear form a' W_i v with
-W_i = sum_j u_col[(i-1)k+j] v_col[(i-1)k+j]'; ``fbp_expand`` materializes
-those matrices so the factorized path can be checked against the explicit
-bilinear model.
+W_i = sum_j u_col[(i-1)k+j] v_col[(i-1)k+j]'; the tests materialize those
+matrices to check the factorized path against the explicit bilinear model.
 """
 
 import math
@@ -64,15 +64,96 @@ class FBPParams:
     def params(self) -> dict:
         return {"u_tilde": self.u_tilde, "v_tilde": self.v_tilde}
 
-    def dropout_mask(self, key: int, first_row: int, stop_row: int, scratch=None):
-        return dropout_scale(key, first_row, stop_row, self, scratch)
+    def dropout_mask(self, key: int, first_row: int, stop_row: int,
+                     scratch: Scratch | None = None) -> np.ndarray:
+        """Rescaled dropout mask for rows first_row..stop_row-1 of one update.
 
-    def fuse(self, a: np.ndarray, v: np.ndarray, mask_scale=None, scratch=None):
-        return fbp_rows(a, v, self, mask_scale, scratch)
+        Entry (r, c) keeps its unit when the uniform u = (raw >> 11) / 2^53
+        from counter ``r * k*o + c`` of the counter stream under ``key`` is at
+        least p, and is then 1/(1-p), else 0.  Since p * 2^53 is exact, u >= p
+        is compared on the raw outputs as raw >= ceil(p * 2^53) << 11, which
+        stays below 2^64 for p < 1.  A row's mask depends only on its row
+        number, never on how the update is split into blocks.  With a
+        ``scratch``, the mask is a view into its buffer, overwritten by the
+        next block's.
+        """
+        ko = self.k * self.o
+        threshold = np.uint64(math.ceil(self.dropout_p * (1 << 53)) << 11)
+        raw = counter_u64(key, first_row * ko, stop_row * ko).reshape(-1, ko)
+        return np.multiply(raw >= threshold, 1.0 / (1.0 - self.dropout_p),
+                           out=scratch_out(scratch, "mask", raw.shape))
+
+    def fuse(self, a: np.ndarray, v: np.ndarray, mask_scale: np.ndarray | None = None,
+             scratch: Scratch | None = None):
+        """Batched FBP: rows a (B, m) and v (B, n) -> ((B, o) fused rows, cache).
+
+        ``mask_scale`` is a ``dropout_mask``, None for no dropout.  With a
+        ``scratch``, the (B, k*o) projections and product of this call, and
+        the projection gradients of its backward, are views into the
+        scratch's buffers.  ``window_sums`` pools the product: by k slice
+        additions when k < 8 and the block holds at least 64*k windows, else
+        by one reduce, with the same bytes either way.
+        """
+        shape = (len(a), self.width)
+        proj_a = np.matmul(a, self.u_tilde, out=scratch_out(scratch, "proj_a", shape))
+        proj_v = np.matmul(v, self.v_tilde, out=scratch_out(scratch, "proj_v", shape))
+        h = np.multiply(proj_a, proj_v, out=scratch_out(scratch, "h", shape))
+        if mask_scale is not None:
+            h *= mask_scale
+        z = window_sums(h, self.o, self.k)
+        tiny = None
+        # a sum of squares that overflows, or underflows on a nonzero row,
+        # is recomputed scaled by the row's largest entry
+        with np.errstate(over="ignore"):
+            sq = (z * z).sum(axis=1, keepdims=True)
+        z_norm = np.sqrt(sq)
+        if not _TINY <= sq.min() <= sq.max() < np.inf:
+            extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
+            peak = np.abs(z[extreme]).max(axis=1, keepdims=True)
+            peak[peak == 0.0] = 1.0  # a zero row keeps norm 0
+            scaled = z[extreme] / peak
+            unit_norm = np.sqrt((scaled ** 2).sum(axis=1, keepdims=True))
+            z_norm[extreme] = peak * unit_norm
+            low = (sq[extreme, 0] < _TINY) & (unit_norm[:, 0] > 0.0)
+            if low.any():
+                tiny = extreme[low], peak[low]
+        # |z|, or 1 where z = 0 so that a zero vector passes through unchanged
+        denom = z_norm + (z_norm == 0.0)
+        out = z / denom
+        if tiny is not None:
+            # a nonzero row whose |z|^2 underflowed stays in scaled form: z/peak
+            # over |z|/peak loses no bits to the subnormal |z|, and the
+            # backward's division by |z| cannot overflow
+            denom[tiny[0]] = unit_norm[low]
+            out[tiny[0]] = scaled[low] / denom[tiny[0]]
+        return out, FBPCache(a, v, proj_a, proj_v, mask_scale, z, out, denom, tiny, scratch)
 
     def backward(self, cache: "FBPCache", g: np.ndarray):
-        d_u, d_v_tilde, d_a, d_v = fbp_rows_backward(cache, g)
-        return {"u_tilde": d_u, "v_tilde": d_v_tilde}, (d_a, d_v)
+        """({"u_tilde", "v_tilde"} gradients, (d_a, d_v)) for (B, o) upstream gradients.
+
+        Projection gradients are summed over the batch; d_a and d_v are per row.
+        """
+        # out = z/|z|: d_z = (g - (g.out) out) / |z|; zero rows give d_z = g, and
+        # the tiny rows peak * d_z
+        d_z = (g - (g * cache.out).sum(axis=1, keepdims=True) * cache.out) / cache.denom
+        d_h = d_z.repeat(self.k, axis=1)
+        if cache.mask_scale is not None:
+            d_h *= cache.mask_scale
+        scratch = cache.scratch
+        d_proj_a = np.multiply(d_h, cache.proj_v, out=scratch_out(scratch, "d_proj_a", d_h.shape))
+        d_proj_v = np.multiply(d_h, cache.proj_a, out=scratch_out(scratch, "d_proj_v", d_h.shape))
+        if cache.tiny is not None:
+            # scaled by the projections first, the division by the peak is
+            # finite wherever the projection gradients are representable
+            rows, peak = cache.tiny
+            with np.errstate(over="ignore"):
+                d_proj_a[rows] /= peak
+                d_proj_v[rows] /= peak
+            if not (np.isfinite(d_proj_a[rows]).all() and np.isfinite(d_proj_v[rows]).all()):
+                raise NumericalDivergence("FBP backward: on a row with a subnormal |z|, the "
+                                          "projection gradients overflow float64")
+        grads = {"u_tilde": cache.a.T @ d_proj_a, "v_tilde": cache.v.T @ d_proj_v}
+        return grads, (d_proj_a @ self.u_tilde.T, d_proj_v @ self.v_tilde.T)
 
 
 @dataclass
@@ -83,7 +164,6 @@ class FusedVec:
 class FBPCache(NamedTuple):
     a: np.ndarray             # (B, m)
     v: np.ndarray             # (B, n)
-    params: FBPParams
     proj_a: np.ndarray        # a U~
     proj_v: np.ndarray        # v V~
     mask_scale: np.ndarray | None  # dropout mask / (1 - p); None without dropout
@@ -100,25 +180,6 @@ class FBPCache(NamedTuple):
 class FBPResult:
     fused: FusedVec
     cache: FBPCache
-
-
-def dropout_scale(key: int, first_row: int, stop_row: int, params: FBPParams,
-                  scratch: Scratch | None = None) -> np.ndarray:
-    """Rescaled dropout mask for rows first_row..stop_row-1 of one update.
-
-    Entry (r, c) keeps its unit when the uniform u = (raw >> 11) / 2^53 from
-    counter ``r * k*o + c`` of the counter stream under ``key`` is at least
-    p, and is then 1/(1-p), else 0.  Since p * 2^53 is exact, u >= p is
-    compared on the raw outputs as raw >= ceil(p * 2^53) << 11, which stays
-    below 2^64 for p < 1.  A row's mask depends only on its row number,
-    never on how the update is split into blocks.  With a ``scratch``, the
-    mask is a view into its buffer, overwritten by the next block's.
-    """
-    ko = params.k * params.o
-    threshold = np.uint64(math.ceil(params.dropout_p * (1 << 53)) << 11)
-    raw = counter_u64(key, first_row * ko, stop_row * ko).reshape(-1, ko)
-    return np.multiply(raw >= threshold, 1.0 / (1.0 - params.dropout_p),
-                       out=scratch_out(scratch, "mask", raw.shape))
 
 
 # Below 8 terms numpy's reduce adds a window's entries in order from +0.0,
@@ -148,89 +209,11 @@ def window_sums(h: np.ndarray, o: int, k: int) -> np.ndarray:
     return z
 
 
-def fbp_rows(a: np.ndarray, v: np.ndarray, params: FBPParams,
-             mask_scale: np.ndarray | None = None, scratch: Scratch | None = None):
-    """Batched FBP: rows a (B, m) and v (B, n) -> ((B, o) fused rows, cache).
-
-    With a ``scratch``, the (B, k*o) projections and product of this call,
-    and the projection gradients of its backward, are views into the
-    scratch's buffers.  ``window_sums`` pools the product: by k slice
-    additions when k < 8 and the block holds at least 64*k windows, else by
-    one reduce, with the same bytes either way.
-    """
-    shape = (len(a), params.width)
-    proj_a = np.matmul(a, params.u_tilde, out=scratch_out(scratch, "proj_a", shape))
-    proj_v = np.matmul(v, params.v_tilde, out=scratch_out(scratch, "proj_v", shape))
-    h = np.multiply(proj_a, proj_v, out=scratch_out(scratch, "h", shape))
-    if mask_scale is not None:
-        h *= mask_scale
-    z = window_sums(h, params.o, params.k)
-    tiny = None
-    # a sum of squares that overflows, or underflows on a nonzero row,
-    # is recomputed scaled by the row's largest entry
-    with np.errstate(over="ignore"):
-        sq = (z * z).sum(axis=1, keepdims=True)
-    z_norm = np.sqrt(sq)
-    if not _TINY <= sq.min() <= sq.max() < np.inf:
-        extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
-        peak = np.abs(z[extreme]).max(axis=1, keepdims=True)
-        peak[peak == 0.0] = 1.0  # a zero row keeps norm 0
-        scaled = z[extreme] / peak
-        unit_norm = np.sqrt((scaled ** 2).sum(axis=1, keepdims=True))
-        z_norm[extreme] = peak * unit_norm
-        low = (sq[extreme, 0] < _TINY) & (unit_norm[:, 0] > 0.0)
-        if low.any():
-            tiny = extreme[low], peak[low]
-    # |z|, or 1 where z = 0 so that a zero vector passes through unchanged
-    denom = z_norm + (z_norm == 0.0)
-    out = z / denom
-    if tiny is not None:
-        # a nonzero row whose |z|^2 underflowed stays in scaled form: z/peak
-        # over |z|/peak loses no bits to the subnormal |z|, and the
-        # backward's division by |z| cannot overflow
-        denom[tiny[0]] = unit_norm[low]
-        out[tiny[0]] = scaled[low] / denom[tiny[0]]
-    return out, FBPCache(a, v, params, proj_a, proj_v, mask_scale, z, out, denom, tiny,
-                         scratch)
-
-
-def fbp_rows_backward(cache: FBPCache, g: np.ndarray):
-    """Returns (d_u_tilde, d_v_tilde, d_a, d_v) for (B, o) upstream gradients.
-
-    Projection gradients are summed over the batch; d_a and d_v are per row.
-    """
-    params = cache.params
-    # out = z/|z|: d_z = (g - (g.out) out) / |z|; zero rows give d_z = g, and
-    # the tiny rows peak * d_z
-    d_z = (g - (g * cache.out).sum(axis=1, keepdims=True) * cache.out) / cache.denom
-    d_h = d_z.repeat(params.k, axis=1)
-    if cache.mask_scale is not None:
-        d_h *= cache.mask_scale
-    scratch = cache.scratch
-    d_proj_a = np.multiply(d_h, cache.proj_v, out=scratch_out(scratch, "d_proj_a", d_h.shape))
-    d_proj_v = np.multiply(d_h, cache.proj_a, out=scratch_out(scratch, "d_proj_v", d_h.shape))
-    if cache.tiny is not None:
-        # scaled by the projections first, the division by the peak is
-        # finite wherever the projection gradients are representable
-        rows, peak = cache.tiny
-        with np.errstate(over="ignore"):
-            d_proj_a[rows] /= peak
-            d_proj_v[rows] /= peak
-        if not (np.isfinite(d_proj_a[rows]).all() and np.isfinite(d_proj_v[rows]).all()):
-            raise NumericalDivergence("FBP backward: on a row with a subnormal |z|, the "
-                                      "projection gradients overflow float64")
-    d_u = cache.a.T @ d_proj_a
-    d_v_tilde = cache.v.T @ d_proj_v
-    d_a = d_proj_a @ params.u_tilde.T
-    d_v = d_proj_v @ params.v_tilde.T
-    return d_u, d_v_tilde, d_a, d_v
-
-
 def fbp_fuse(a: np.ndarray, v: np.ndarray, params: FBPParams, mode: str = "eval") -> FBPResult:
-    """Fuse two modality vectors without dropout: the validated B=1 case of ``fbp_rows``.
+    """Fuse two modality vectors without dropout: the validated B=1 case of ``FBPParams.fuse``.
 
-    ``mode`` must be "eval"; training runs on ``fbp_rows`` with a
-    ``dropout_scale`` mask.
+    ``mode`` must be "eval"; training runs ``FBPParams.fuse`` with a
+    ``dropout_mask``.
     """
     a = check_vec(a, "audio vector")
     v = check_vec(v, "visual vector")
@@ -240,19 +223,5 @@ def fbp_fuse(a: np.ndarray, v: np.ndarray, params: FBPParams, mode: str = "eval"
         raise DimMismatch(f"audio dim {a.shape[0]} != u_tilde rows {params.u_tilde.shape[0]}")
     if v.shape[0] != params.v_tilde.shape[0]:
         raise DimMismatch(f"visual dim {v.shape[0]} != v_tilde rows {params.v_tilde.shape[0]}")
-    out, cache = fbp_rows(a[None], v[None], params)
+    out, cache = params.fuse(a[None], v[None])
     return FBPResult(fused=FusedVec(values=out[0]), cache=cache)
-
-
-def fbp_expand(params: FBPParams) -> list[np.ndarray]:
-    """Materialize the o implicit bilinear matrices W_i (each m x n).
-
-    For all a, v: a' W_i v equals the pre-dropout, pre-normalization z_i that
-    ``fbp_fuse`` keeps in its cache.
-    """
-    mats = []
-    for i in range(params.o):
-        cols = slice(i * params.k, (i + 1) * params.k)
-        mats.append(params.u_tilde[:, cols] @ params.v_tilde[:, cols].T)
-    return mats
-

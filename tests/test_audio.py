@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from avfusion import audio
 from avfusion.audio import (AudioClip, PatchEmbedParams, Spectrogram, deltas,
                             frame_signal, log_mel_3d, mel_filterbank,
-                            patch_embed, patch_embed_backward, read_wav,
-                            speech_spectrogram, write_wav)
+                            patch_embed, read_wav, speech_spectrogram, write_wav)
 from avfusion.checks import check_patch_embed
 from avfusion.errors import (ClipTooShort, CorruptHeader, DimMismatch,
-                             GridTooFineForInput, MissingForwardCache,
-                             NonFiniteValue, UnsupportedFormat)
+                             GridTooFineForInput, NonFiniteValue, UnsupportedFormat)
 from avfusion.rng import Rng
 
 SR = 16000
@@ -233,8 +231,8 @@ class TestMel:
     def test_constant_input_has_zero_deltas(self):
         clip = AudioClip(samples=np.full(SR, 0.25), sample_rate=SR)
         cube = log_mel_3d(clip, bands=40)
-        assert np.all(cube.delta == 0.0)
-        assert np.all(cube.delta_delta == 0.0)
+        assert np.all(cube.values[:, :, 1] == 0.0)  # delta
+        assert np.all(cube.values[:, :, 2] == 0.0)  # delta-delta
 
     def test_filterbank_rows_nonnegative_peaked_and_overlapping(self):
         bank = mel_filterbank(40, 1024, SR)
@@ -295,10 +293,10 @@ class TestPatchEmbed:
         rng = Rng(38)
         spec = Spectrogram(values=rng.normal_mat(13, 17))
         params = PatchEmbedParams.init(3, 4, 4, 4, 5, rng)
-        _, cache = patch_embed(spec, params)
+        _, patches = patch_embed(spec, params)
         oracle = np.array([spec.values[gh * 4:(gh + 1) * 4, gw * 4:(gw + 1) * 4].ravel()
                            for gh in range(3) for gw in range(4)])
-        assert np.array_equal(cache.patches, oracle)
+        assert np.array_equal(patches, oracle)
 
     def test_truncates_remainder_rows_and_cols(self):
         rng = Rng(34)
@@ -331,6 +329,21 @@ class TestPatchEmbed:
     def test_gradcheck(self, seed):
         assert check_patch_embed(seed) < 1e-4
 
-    def test_missing_cache(self):
-        with pytest.raises(MissingForwardCache):
-            patch_embed_backward(None, np.zeros((1, 1)))
+    def test_batch_of_three_equals_three_single_embeddings(self):
+        rng = Rng(39)
+        specs = rng.normal_mat(3 * 13, 17).reshape(3, 13, 17)
+        params = PatchEmbedParams.init(3, 4, 4, 4, 5, rng)
+        params.bias[:] = rng.normal_vec(5)
+        g = rng.normal_mat(3 * 12, 5).reshape(3, 12, 5)
+        out, patches = params.embed(specs)
+        assert out.shape == (3, 12, 5)
+        grads, d_specs = params.backward(patches, g)
+        assert d_specs is None
+        summed = {name: np.zeros_like(arr) for name, arr in params.params.items()}
+        for b in range(3):
+            fs, one_patches = patch_embed(Spectrogram(specs[b]), params)
+            assert np.max(np.abs(out[b] - fs.vectors)) <= 1e-12
+            for name, grad in params.backward(one_patches, g[b:b + 1])[0].items():
+                summed[name] += grad
+        for name, grad in grads.items():
+            assert np.max(np.abs(grad - summed[name])) <= 1e-12 * np.max(np.abs(grad)), name

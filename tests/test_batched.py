@@ -58,7 +58,7 @@ def test_batched_update_equals_sum_of_single_samples(overrides, block_floats, mo
         assert model.block_rows(audio, visual) < len(labels)  # several blocks
     loss, grads = model.update_loss(audio, visual, labels, key)
 
-    mask = None if key is None else fbp.dropout_scale(KEY, 0, len(labels), model.cross)
+    mask = None if key is None else model.cross.dropout_mask(KEY, 0, len(labels))
     ref_loss, ref = 0.0, None
     for r in range(len(labels)):
         rows = slice(r, r + 1)
@@ -97,7 +97,7 @@ def _float_compare_mask(raw, p):
 def test_integer_threshold_mask_equals_float_compare_mask(p, monkeypatch):
     params = fbp.FBPParams.init(3, 4, 3, 4, p, Rng(1))
     ko = params.k * params.o
-    got = fbp.dropout_scale(KEY, 5, 205, params)
+    got = params.dropout_mask(KEY, 5, 205)
     want = _float_compare_mask(counter_u64(KEY, 5 * ko, 205 * ko), p).reshape(-1, ko)
     assert got.tobytes() == want.tobytes()
     # raw outputs on either side of the threshold, where the two could part
@@ -106,24 +106,23 @@ def test_integer_threshold_mask_equals_float_compare_mask(p, monkeypatch):
                     for d in (-2049, -2048, -1, 0, 1, 2047, 2048)} | {0, (1 << 64) - 1})
     raw = np.array(edges, dtype=np.uint64).repeat(ko)  # one edge per row
     monkeypatch.setattr(fbp, "counter_u64", lambda key, start, stop: raw[:stop - start])
-    got = fbp.dropout_scale(KEY, 0, len(edges), params)
+    got = params.dropout_mask(KEY, 0, len(edges))
     assert got.tobytes() == _float_compare_mask(raw, p).reshape(-1, ko).tobytes()
 
 
 def test_row_mask_does_not_depend_on_block_split():
     params = fbp.FBPParams.init(3, 4, 3, 4, 0.3, Rng(1))
-    whole = fbp.dropout_scale(KEY, 0, 10, params)
-    split = np.vstack([fbp.dropout_scale(KEY, 0, 4, params),
-                       fbp.dropout_scale(KEY, 4, 10, params)])
+    whole = params.dropout_mask(KEY, 0, 10)
+    split = np.vstack([params.dropout_mask(KEY, 0, 4), params.dropout_mask(KEY, 4, 10)])
     assert np.array_equal(whole, split)
-    assert np.array_equal(fbp.dropout_scale(KEY, 6, 7, params), whole[6:7])
+    assert np.array_equal(params.dropout_mask(KEY, 6, 7), whole[6:7])
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
 def test_survival_rate_within_three_sigma(p):
     draws = 100_000
     params = fbp.FBPParams.init(1, 1, 1, 1, p, Rng(1))
-    kept = np.mean(fbp.dropout_scale(KEY + 1, 0, draws, params) > 0.0)
+    kept = np.mean(params.dropout_mask(KEY + 1, 0, draws) > 0.0)
     sigma = np.sqrt(p * (1.0 - p) / draws)
     assert abs(kept - (1.0 - p)) <= 3.0 * sigma
 
@@ -295,7 +294,7 @@ def test_pipeline_gradients_with_frozen_dropout_mask_at_b3(kind):
     model, (audio, visual, labels) = _rows_of_update(
         dict(audio_fusion=kind, visual_fusion="transformer", classes=3, samples=3), count=3)
     assert model.cross.dropout_p == 0.3
-    mask = fbp.dropout_scale(KEY, 0, 3, model.cross)
+    mask = model.cross.dropout_mask(KEY, 0, 3)
     assert np.any(mask == 0.0) and np.any(mask > 0.0)
 
     assert grad_check(lambda _: model.batch_loss(audio, visual, labels, mask),

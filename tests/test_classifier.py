@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from avfusion.checks import check_classifier
 from avfusion.classifier import (DEFAULT_CLASS_WEIGHTS, ClassScores, ClassWeights,
-                                 SoftmaxParams, apply_class_weights, class_probs,
-                                 xent_rows)
+                                 SoftmaxParams, apply_class_weights, class_probs)
 from avfusion.errors import DimMismatch
 from avfusion.experiment import descend
 from avfusion.rng import Rng
@@ -19,16 +18,15 @@ def zero_params(classes=7, d_in=3):
 def fit_softmax(xs, ys, params, lr, epochs, rng=None, batch_size=0):
     """Softmax regression on the package's descent loop: (trained params, loss curve)."""
     xs, ys = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.int64)
-    tensors = {"weight": params.weight.copy(), "bias": params.bias.copy()}
+    clf = SoftmaxParams(weight=params.weight.copy(), bias=params.bias.copy())
 
     def step(batch):
-        loss, backward = xent_rows(xs[batch], ys[batch], tensors["weight"],
-                                   tensors["bias"])
-        d_w, d_b, _ = backward()
-        return loss, {"weight": d_w, "bias": d_b}
+        loss, cache = clf.loss(xs[batch], ys[batch])
+        return loss, clf.backward(cache)[0]
 
-    curve = descend(tensors, len(ys), step, epochs, lr, rng, batch_size)
-    return SoftmaxParams(**tensors), curve
+    # descend updates clf's own arrays in place
+    curve = descend(clf.params, len(ys), step, epochs, lr, rng, batch_size)
+    return clf, curve
 
 
 def probs_of(x, params):
@@ -72,8 +70,9 @@ class TestGradients:
         # with zero params probs are uniform; d loss / d logit_y = 1/C - 1
         params = zero_params(classes=7, d_in=2)
         x = np.array([1.0, 0.0])
-        _, backward = xent_rows(x[None], np.array([3]), params.weight, params.bias)
-        d_w, d_b, _ = backward()
+        _, cache = params.loss(x[None], np.array([3]))
+        grads, _ = params.backward(cache)
+        d_w, d_b = grads["weight"], grads["bias"]
         assert abs(d_b[3] - (1.0 / 7.0 - 1.0)) < 1e-12
         others = np.delete(d_b, 3)
         assert np.allclose(others, 1.0 / 7.0, atol=1e-12)

@@ -3,14 +3,32 @@ import pytest
 
 from avfusion.checks import check_fbp
 from avfusion.errors import DimMismatch, NumericalDivergence
-from avfusion.fbp import (FBPParams, dropout_scale, fbp_expand, fbp_fuse, fbp_rows,
-                          fbp_rows_backward, window_sums)
+from avfusion.fbp import FBPParams, fbp_fuse, window_sums
 from avfusion.rng import Rng
 
 
 def scalar_params(dropout=0.0):
     return FBPParams(u_tilde=np.array([[1.0]]), v_tilde=np.array([[1.0]]),
                      k=1, o=1, dropout_p=dropout)
+
+
+def fbp_expand(params: FBPParams) -> list:
+    """Materialize the o implicit bilinear matrices W_i (each m x n).
+
+    For all a, v: a' W_i v equals the pre-dropout, pre-normalization z_i that
+    ``FBPParams.fuse`` keeps in its cache.
+    """
+    mats = []
+    for i in range(params.o):
+        cols = slice(i * params.k, (i + 1) * params.k)
+        mats.append(params.u_tilde[:, cols] @ params.v_tilde[:, cols].T)
+    return mats
+
+
+def backward_arrays(params: FBPParams, cache, g):
+    """(d_u_tilde, d_v_tilde, d_a, d_v) of ``params.backward``."""
+    grads, (d_a, d_v) = params.backward(cache, g)
+    return grads["u_tilde"], grads["v_tilde"], d_a, d_v
 
 
 class TestFuse:
@@ -39,7 +57,7 @@ class TestFuse:
             fbp_fuse(np.ones(1), np.ones(1), scalar_params(), mode="predict")
 
     def test_train_mode_rejected(self):
-        # training runs on fbp_rows with a dropout_scale mask
+        # training runs FBPParams.fuse with a dropout_mask
         with pytest.raises(ValueError):
             fbp_fuse(np.ones(1), np.ones(1), scalar_params(0.5), mode="train")
 
@@ -67,8 +85,7 @@ class TestFuse:
         assert np.array_equal(e1, e2)
 
         def train_row():
-            return fbp_rows(a[None], v[None], params,
-                            dropout_scale(Rng(99).next_u64(), 0, 1, params))[0]
+            return params.fuse(a[None], v[None], params.dropout_mask(Rng(99).next_u64(), 0, 1))[0]
 
         assert np.array_equal(train_row(), train_row())
 
@@ -108,9 +125,9 @@ class TestDropout:
         rng = Rng(26)
         trials = 10_000
         # one key per trial, row 0 of each
-        mask = np.vstack([dropout_scale(rng.next_u64(), 0, 1, params) for _ in range(trials)])
+        mask = np.vstack([params.dropout_mask(rng.next_u64(), 0, 1) for _ in range(trials)])
         ones = np.ones((trials, 1))
-        mean = fbp_rows(ones, ones, params, mask)[1].z.mean(axis=0)
+        mean = params.fuse(ones, ones, mask)[1].z.mean(axis=0)
         sigma = np.abs(h) * np.sqrt(p / (1.0 - p)) / np.sqrt(trials)
         assert np.all(np.abs(mean - h) <= 3.0 * sigma + 1e-12)
 
@@ -119,9 +136,9 @@ class TestDropout:
         m, n, k, o = 3, 3, 1, 4
         params = FBPParams.init(m, n, k, o, 0.5, rng)
         mask = np.array([1.0, 0.0, 1.0, 1.0])
-        _, cache = fbp_rows(rng.normal_vec(m)[None], rng.normal_vec(n)[None], params,
-                            mask[None] / (1 - params.dropout_p))
-        d_u, d_v, _, _ = fbp_rows_backward(cache, rng.normal_vec(o)[None])
+        _, cache = params.fuse(rng.normal_vec(m)[None], rng.normal_vec(n)[None],
+                               mask[None] / (1 - params.dropout_p))
+        d_u, d_v, _, _ = backward_arrays(params, cache, rng.normal_vec(o)[None])
         assert np.all(d_u[:, 1] == 0.0)
         assert np.all(d_v[:, 1] == 0.0)
 
@@ -139,7 +156,7 @@ class TestBackward:
         rng = Rng(28)
         params = FBPParams.init(3, 4, 2, 2, 0.0, rng)
         res = fbp_fuse(rng.normal_vec(3), rng.normal_vec(4), params)
-        for g in fbp_rows_backward(res.cache, np.zeros((1, 2))):
+        for g in backward_arrays(params, res.cache, np.zeros((1, 2))):
             assert np.all(g == 0.0)
 
 
@@ -153,43 +170,44 @@ class TestExtremeScales:
         a, v, g = rng.normal_mat(6, 4), rng.normal_mat(6, 5), rng.normal_mat(6, 3)
         scaled = FBPParams(u_tilde=scale * params.u_tilde, v_tilde=scale * params.v_tilde,
                            k=2, o=3, dropout_p=0.0)
-        base, base_cache = fbp_rows(a, v, params)
-        out, cache = fbp_rows(a, v, scaled)
+        base, base_cache = params.fuse(a, v)
+        out, cache = scaled.fuse(a, v)
         assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= 1e-12)
         assert np.max(np.abs(out - base)) <= 1e-15
         # out(s u, s v) = out(u, v), so d out / d(s u) = (d out / d u) / s
-        grads, base_grads = fbp_rows_backward(cache, g), fbp_rows_backward(base_cache, g)
+        grads = backward_arrays(scaled, cache, g)
+        base_grads = backward_arrays(params, base_cache, g)
         for got, want in zip(grads[:2], base_grads[:2]):
             assert np.max(np.abs(got * scale - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_zero_row_among_extreme_rows_passes_through(self):
         params = scalar_params()
-        out, _ = fbp_rows(np.array([[0.0], [1e-85], [1e200]]), np.array([[3.0], [1e-85], [1e100]]),
-                          params)
+        out, _ = params.fuse(np.array([[0.0], [1e-85], [1e200]]),
+                             np.array([[3.0], [1e-85], [1e100]]))
         assert out.tolist() == [[0.0], [1.0], [1.0]]
 
     def test_subnormal_norm_row_keeps_finite_gradients(self):
         # |z| is about 4e-311: the backward used to overflow dividing by it
         params = FBPParams.init(3, 3, 2, 4, 0.0, Rng(1))
         g = Rng(2).normal_mat(1, 4)
-        base_out, base_cache = fbp_rows(np.ones((1, 3)), np.ones((1, 3)), params)
-        out, cache = fbp_rows(np.full((1, 3), 1e-155), np.full((1, 3), 1e-155), params)
+        base_out, base_cache = params.fuse(np.ones((1, 3)), np.ones((1, 3)))
+        out, cache = params.fuse(np.full((1, 3), 1e-155), np.full((1, 3), 1e-155))
         assert cache.tiny is not None
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
         assert np.max(np.abs(out - base_out)) <= 1e-11
         # out has degree 0 in a and in v: the projection gradients keep their
         # size, d_a and d_v grow by 1/1e-155
-        grads = fbp_rows_backward(cache, g)
-        for got, want, scale in zip(grads, fbp_rows_backward(base_cache, g),
+        grads = backward_arrays(params, cache, g)
+        for got, want, scale in zip(grads, backward_arrays(params, base_cache, g),
                                     (1.0, 1.0, 1e-155, 1e-155)):
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got * scale - want)) <= 1e-11 * np.max(np.abs(want))
 
     def test_unrepresentable_subnormal_row_gradient_raises(self):
         params = FBPParams.init(3, 3, 2, 4, 0.0, Rng(1))
-        _, cache = fbp_rows(np.full((1, 3), 1e-310), np.full((1, 3), 1e-5), params)
+        _, cache = params.fuse(np.full((1, 3), 1e-310), np.full((1, 3), 1e-5))
         with pytest.raises(NumericalDivergence, match="FBP"):
-            fbp_rows_backward(cache, np.ones((1, 4)))
+            params.backward(cache, np.ones((1, 4)))
 
 
 class _Sliced(np.ndarray):

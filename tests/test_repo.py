@@ -1,17 +1,18 @@
 """Repository-level checks: the README's code runs, no public helper of the
-package exists only for the tests, and the guard-rail runner repeats itself."""
+package exists only for the tests, and the guard-rail runner repeats itself
+and tells two trees apart."""
 
 import ast
 import importlib.util
 import re
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avfusion"
 
-# public names kept for the tests on purpose: a WAV writer for fixtures, and
-# the explicit bilinear model that FBP is checked against
-TEST_ONLY = {"write_wav", "fbp_expand"}
+# public names kept for the tests on purpose: a WAV writer for fixtures
+TEST_ONLY = {"write_wav"}
 
 
 def _referenced_names(node) -> set:
@@ -54,14 +55,37 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not unused, f"public names that only the tests reference: {unused}"
 
 
-def test_guard_runner_repeats_a_tiny_run(tmp_path):
+TINY = {"seed": 5, "data.samples": 14, "classifier.epochs": 2, "audio.frames": 2,
+        "visual.frames": 2, "fbp.o": 8}
+
+
+def _load_guard():
     spec = importlib.util.spec_from_file_location("guard", ROOT / "tools" / "guard.py")
     guard = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(guard)
-    keys = {"seed": 5, "data.samples": 14, "classifier.epochs": 2, "audio.frames": 2,
-            "visual.frames": 2, "fbp.o": 8}
-    first = guard.run_line("tiny", keys, str(tmp_path / "first"))
-    assert first == guard.run_line("tiny", keys, str(tmp_path / "second"))
+    return guard
+
+
+def test_guard_runner_repeats_a_tiny_run(tmp_path):
+    guard = _load_guard()
+    first = guard.run_line("tiny", TINY, str(tmp_path / "first"))
+    assert first == guard.run_line("tiny", TINY, str(tmp_path / "second"))
     assert first.startswith("tiny [seed=5,data.samples=14,")
     assert re.search(r" accuracy=\S+ checkpoint\.bin=[0-9a-f]{64} report\.txt=[0-9a-f]{64} "
                      r"confusion\.csv=[0-9a-f]{64}$", first)
+
+
+def test_guard_compare_prints_only_the_lines_that_differ(tmp_path):
+    guard = _load_guard()
+    runs = [("tiny", TINY)]
+    assert guard.compare(str(ROOT), runs, checks=False) == []
+    # a copy of the package whose descent steps half as far trains other bytes
+    shutil.copytree(PACKAGE, tmp_path / "src" / "avfusion",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    experiment = tmp_path / "src" / "avfusion" / "experiment.py"
+    text = experiment.read_text()
+    assert text.count("arr -= lr * ") == 1
+    experiment.write_text(text.replace("arr -= lr * ", "arr -= 0.5 * lr * "))
+    diff = guard.compare(str(tmp_path), runs, checks=False)
+    assert [line[:8] for line in diff] == ["- tiny [", "+ tiny ["]
+    assert diff[0][2:] != diff[1][2:]

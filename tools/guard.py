@@ -2,6 +2,7 @@
 keep byte-identical.
 
     python tools/guard.py > guard.txt
+    python tools/guard.py --compare OTHER_TREE
 
 It imports avfusion from the ``src/`` next to this directory.  For each
 guard config it trains and evaluates as ``avfusion train`` does, in a
@@ -10,14 +11,20 @@ and the sha256 of ``checkpoint.bin``, ``report.txt`` and ``confusion.csv``.
 Then it prints the ``run_module_checks("all", 10)`` floats and the six
 ``check_pipeline(104000, cross, kind, kind)`` floats, one per line.
 
-To compare two trees, run it in each (copy this file into the other tree's
-``tools/``) and ``diff`` the outputs.  The digests depend on the BLAS build
+``--compare OTHER_TREE`` runs the same set twice: here, and in a
+subprocess on ``OTHER_TREE/src`` (which needs no copy of this file).  It
+prints only the lines that differ, ``- `` the other tree's and ``+ `` this
+tree's, and exits 1 when any does.  The digests depend on the BLAS build
 and the CPU, so only outputs from one machine are comparable.
 """
 
+import argparse
 import hashlib
+import json
+import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -70,13 +77,59 @@ def check_lines() -> list:
     return lines
 
 
-def main() -> int:
+def guard_lines(runs=GUARD, checks: bool = True):
+    """The set's lines, one at a time: ``runs`` as (name, config keys), then
+    the gradient-check floats when ``checks``."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, keys in GUARD:
-            print(run_line(name, keys, str(Path(tmp) / name)), flush=True)
-    for line in check_lines():
+        for name, keys in runs:
+            yield run_line(name, keys, str(Path(tmp) / name))
+    if checks:
+        yield from check_lines()
+
+
+# the other tree's package is imported first, so every avfusion module the
+# script imports after putting its own src/ first comes from that tree
+_CHILD = """import json, runpy, sys
+sys.path.insert(0, sys.argv[1])
+import avfusion
+guard = runpy.run_path(sys.argv[2])
+runs, checks = json.loads(sys.argv[3])
+for line in guard["guard_lines"](runs, checks):
+    print(line)
+"""
+
+
+def compare(other: str, runs=GUARD, checks: bool = True) -> list:
+    """The set's lines that differ between ``other``/src and this tree, as
+    "- other line" / "+ this line" pairs; both run at once."""
+    with subprocess.Popen(
+            [sys.executable, "-c", _CHILD, str(Path(other).resolve() / "src"),
+             str(Path(__file__).resolve()), json.dumps([list(runs), checks])],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+        mine = list(guard_lines(runs, checks))
+        out, err = child.communicate()
+    if child.returncode:
+        raise RuntimeError(f"the set failed on {other}: {err.strip()}")
+    diff = []
+    for theirs, ours in zip_longest(out.splitlines(), mine, fillvalue="(no line)"):
+        if theirs != ours:
+            diff += [f"- {theirs}", f"+ {ours}"]
+    return diff
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="OTHER_TREE",
+                        help="print only the lines that differ from OTHER_TREE/src's")
+    args = parser.parse_args(argv)
+    if args.compare is None:
+        for line in guard_lines():
+            print(line, flush=True)
+        return 0
+    diff = compare(args.compare)
+    for line in diff:
         print(line)
-    return 0
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
