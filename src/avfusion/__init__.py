@@ -15,7 +15,6 @@ from .enhance import (TtaTransform, ar_mean_rows, enumerate_tta, mean_rows,
 from .errors import AvfusionError
 from .experiment import Concat, FusionPipeline, IntraStage, Metrics, run_experiment
 from .fbp import FBPParams, FusedVec, fbp_fuse
-from .features import FeatureSet
 from .featfile import load_checkpoint, load_features, save_checkpoint, save_features
 from .gradcheck import grad_check
 from .rng import Rng

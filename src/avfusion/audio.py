@@ -13,7 +13,7 @@ stage interface (``params``, a batched forward ``embed``, ``backward``): it
 tiles each (H, W) spectrogram of a batch into grid_h x grid_w patches (rows
 of the grid tile the time axis), flattens each patch row-major and projects
 it to a fixed channel dimension.  ``patch_embed`` is its B=1 case, which
-returns a FeatureSet.
+returns one (grid_h*grid_w, channels) feature set.
 """
 
 import struct
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (ClipTooShort, CorruptHeader, DimMismatch, GridTooFineForInput,
                      UnsupportedFormat)
-from .features import FeatureSet
 from .numeric import check_finite
 from .rng import Rng
 
@@ -272,11 +271,12 @@ class PatchEmbedParams:
         """
         grid_h, grid_w = self.grid_h, self.grid_w
         batch, frames, bins = specs.shape
-        patch_h = frames // grid_h
-        patch_w = bins // grid_w
-        if patch_h < 1 or patch_w < 1:
+        # checked before the divisions: a grid of 0 would divide by zero
+        if not 1 <= grid_h <= frames or not 1 <= grid_w <= bins:
             raise GridTooFineForInput(
                 f"grid {grid_h}x{grid_w} too fine for spectrogram {frames}x{bins}")
+        patch_h = frames // grid_h
+        patch_w = bins // grid_w
         pixels = patch_h * patch_w
         if self.projection.shape != (pixels, self.channels):
             raise DimMismatch(
@@ -295,10 +295,10 @@ class PatchEmbedParams:
 
 
 def patch_embed(spec: Spectrogram, params: PatchEmbedParams):
-    """One spectrogram's patches as a FeatureSet: the B=1 case of ``params.embed``.
+    """One spectrogram's patches as a feature set: the B=1 case of ``params.embed``.
 
-    Returns (FeatureSet of n = grid_h * grid_w vectors of dim channels, the
+    Returns (finite (n, channels) feature set, n = grid_h * grid_w, and the
     (n, patch_pixels) patches that ``params.backward`` takes).
     """
     out, patches = params.embed(spec.values[None])
-    return FeatureSet(out[0]), patches
+    return check_finite(out[0], "patch features"), patches

@@ -14,7 +14,6 @@ from . import attention, audio, fbp
 from .classifier import SoftmaxParams
 from .config import ExperimentConfig
 from .experiment import FusionPipeline
-from .features import FeatureSet
 from .gradcheck import grad_check
 from .rng import Rng
 
@@ -122,9 +121,9 @@ def check_pipeline(seed: int, cross_mode: str = "fbp",
                            fbp_k=2, fbp_o=4, fbp_dropout=0.0, attn_hidden=3,
                            classes=3, samples=3)
     model = FusionPipeline(cfg, rng)
-    audio_fs = FeatureSet(rng.normal_mat(cfg.audio_frames, cfg.audio_dim))
-    visual_fs = FeatureSet(rng.normal_mat(cfg.visual_frames, cfg.visual_dim))
-    rows = model.stack([audio_fs], [visual_fs], [rng.randint(cfg.classes)])
+    audio = rng.normal_mat(cfg.audio_frames, cfg.audio_dim)[None]
+    visual = rng.normal_mat(cfg.visual_frames, cfg.visual_dim)[None]
+    rows = model.check_rows(audio, visual, [rng.randint(cfg.classes)])
     # perturbs the model's own arrays in place, which the forward reads
     return grad_check(lambda _: model.batch_loss(*rows), model.tensors())
 
@@ -137,12 +136,12 @@ _CHECKERS = {
 }
 
 
-def run_module_checks(module: str = "all", instances: int = 10,
-                      seed_base: int = 90000) -> dict:
-    """Max relative gradient error per requested module over seeded instances."""
+def run_module_checks(module: str = "all", instances: int = 10) -> dict:
+    """Max relative gradient error per requested module over the seeded
+    instances 90000, 90001, ..."""
     names = MODULES if module == "all" else (module,)
     results = {}
     for name in names:
         checker = _CHECKERS[name]
-        results[name] = max(checker(seed_base + i) for i in range(instances))
+        results[name] = max(checker(90000 + i) for i in range(instances))
     return results

@@ -19,7 +19,6 @@ from .errors import AvfusionError
 from .experiment import (FusionPipeline, evaluate_pipeline, experiment_rngs,
                          prepare_dataset, run_experiment)
 from .featfile import load_checkpoint, load_features, save_features
-from .features import FeatureSet
 
 
 def _cmd_spectrogram(args) -> int:
@@ -30,13 +29,14 @@ def _cmd_spectrogram(args) -> int:
         rows = np.hstack([cube.values[:, :, c].T for c in range(3)])
     else:
         rows = speech_spectrogram(clip).values
-    save_features(args.out, FeatureSet(rows))
+    save_features(args.out, rows)
     print(f"wrote {rows.shape[0]}x{rows.shape[1]} features to {args.out}")
     return 0
 
 
 def _load_modality(path, cfg, rng):
-    """Feature file, or WAV routed through spectrogram + patch embedding."""
+    """(n, d) feature set of a feature file, or of a WAV routed through
+    spectrogram + patch embedding."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == b"RIFF":
@@ -45,22 +45,21 @@ def _load_modality(path, cfg, rng):
         patch_w = spec.bins // cfg.patch_grid_w
         params = PatchEmbedParams.init(cfg.patch_grid_h, cfg.patch_grid_w,
                                        patch_h, patch_w, cfg.patch_channels, rng)
-        fs, _ = patch_embed(spec, params)
-        return fs
+        return patch_embed(spec, params)[0]
     return load_features(path)
 
 
 def _cmd_fuse(args) -> int:
     cfg = load_config(args.config)
     rng = experiment_rngs(cfg.seed)["init"]
-    audio_fs = _load_modality(args.audio, cfg, rng)
-    visual_fs = _load_modality(args.visual, cfg, rng)
+    audio = _load_modality(args.audio, cfg, rng)[None]
+    visual = _load_modality(args.visual, cfg, rng)[None]
     # stages sized to the inputs; the classifier is drawn last and not used
-    model = FusionPipeline(replace(cfg, audio_dim=audio_fs.dim, visual_dim=visual_fs.dim,
+    model = FusionPipeline(replace(cfg, audio_dim=audio.shape[2], visual_dim=visual.shape[2],
                                    enhance_mode="none"), rng)
-    audio, visual, _ = model.stack([audio_fs], [visual_fs])
+    audio, visual, _ = model.check_rows(audio, visual)
     fused = model.fuse_rows(audio, visual)[0][0]
-    save_features(args.out, FeatureSet(fused.reshape(1, -1)))
+    save_features(args.out, fused.reshape(1, -1))
     print(f"wrote fused vector of dim {fused.shape[0]} to {args.out}")
     return 0
 

@@ -6,7 +6,9 @@ a softmax classifier (``classifier.SoftmaxParams``).  Each has ``params``,
 its arrays by checkpoint name, a batched forward that returns (output,
 cache), and ``backward(cache, g)`` -> (gradients keyed like ``params``, input
 gradient or None).  Gradients are chained by hand through the stages, so
-the whole pipeline passes the central-difference gradient check.
+the whole pipeline passes the central-difference gradient check.  Its
+input is a feature set per modality and sample, an (n, d) array, stacked
+into (B, n, d) arrays that ``check_rows`` checks against the model.
 
 ``run_experiment`` generates a synthetic dataset, trains the pipeline with
 gradient descent on a seeded 80/20 split, evaluates with class-reweighted
@@ -24,9 +26,8 @@ from . import attention, fbp
 from .classifier import ClassScores, ClassWeights, SoftmaxParams, apply_class_weights, class_probs
 from .config import ExperimentConfig, config_summary, resolved_class_weights
 from .errors import DimMismatch, EmptyDataset, NumericalDivergence
-from .features import FeatureSet
 from .featfile import save_checkpoint
-from .numeric import BLOCK_FLOATS, Scratch, check_finite
+from .numeric import BLOCK_FLOATS, Scratch, check_finite, check_set
 from .rng import Rng
 from .synthetic import SyntheticDataset, enhanced_dim, gen_synthetic
 
@@ -74,11 +75,14 @@ class IntraStage:
         *grads, d_feats = self._backward(cache, d_pooled)
         return dict(zip(self.params, grads)), d_feats
 
-    def forward(self, fs: FeatureSet):
-        """One feature set -> (pooled vector, cache): the B=1 case of ``pool``."""
-        if fs.dim != self.in_dim:
-            raise DimMismatch(f"features have dim {fs.dim}, the stage expects {self.in_dim}")
-        pooled, cache = self.pool(fs.vectors[None])
+    def forward(self, feats):
+        """One (n, in_dim) feature set -> (pooled vector, cache): the B=1 case
+        of ``pool``.  The set is checked here (``check_set``)."""
+        feats = check_set(feats, "features")
+        if feats.shape[1] != self.in_dim:
+            raise DimMismatch(f"features have dim {feats.shape[1]}, "
+                              f"the stage expects {self.in_dim}")
+        pooled, cache = self.pool(feats[None])
         return pooled[0], cache
 
 
@@ -106,12 +110,15 @@ def _prefixed(**by_stage) -> dict:
 
 
 def _stack_sets(sets, name: str) -> np.ndarray:
-    """Equal-size feature sets stacked into one finite (B, n, d) array."""
+    """Equal-size (n, d) feature sets stacked into one finite (B, n, d) array."""
     try:
-        stacked = np.array([fs.vectors for fs in sets], dtype=np.float64)
+        stacked = np.array(sets, dtype=np.float64)
     except ValueError:  # ragged: numpy cannot stack them
         raise DimMismatch(f"{name} feature sets differ in size; every set must be "
-                          f"{sets[0].vectors.shape}") from None
+                          f"{np.shape(sets[0])}") from None
+    if stacked.ndim != 3 or 0 in stacked.shape[1:]:
+        raise DimMismatch(f"{name} feature sets must be n >= 1 vectors of dim >= 1, "
+                          f"got a stack of shape {stacked.shape}")
     return check_finite(stacked, f"{name} features")
 
 
@@ -120,7 +127,7 @@ class FusionPipeline:
 
     The arithmetic runs on stacked batches: ``fuse_rows``, ``batch_loss``
     and ``predict_rows`` take (B, n, d) audio and visual arrays, which
-    ``stack`` validates.  Training, scoring, the CLI's ``fuse`` and the
+    ``check_rows`` checks.  Training, scoring, the CLI's ``fuse`` and the
     gradient checks all run this one forward.
     """
 
@@ -155,13 +162,6 @@ class FusionPipeline:
             target[...] = arr.reshape(target.shape)
 
     # --- input validation ---------------------------------------------------
-    def stack(self, audio_sets, visual_sets, labels=None):
-        """Validated (B, n, d) audio and visual arrays, and (B,) int labels:
-        the sets of a modality must be finite and of one size (ragged sets
-        raise DimMismatch), and the arrays pass ``check_rows``."""
-        return self.check_rows(_stack_sets(audio_sets, "audio"),
-                               _stack_sets(visual_sets, "visual"), labels)
-
     def check_rows(self, audio, visual, labels=None):
         """(B, n, d) audio and visual arrays and (B,) int labels, checked
         against the model: each feature dim must be its stage's, and labels
@@ -182,10 +182,6 @@ class FusionPipeline:
         row_floats = (audio.shape[1] * self.audio.frame_floats
                       + visual.shape[1] * self.visual.frame_floats + self.cross.width)
         return max(1, BLOCK_FLOATS // row_floats)
-
-    @property
-    def dropout_active(self) -> bool:
-        return self.cross.dropout_p > 0.0
 
     # --- forward / backward on stacked rows ---------------------------------
     def fuse_rows(self, audio, visual, mask_scale=None, scratch: Scratch | None = None):
@@ -308,7 +304,7 @@ def train_rows(model: FusionPipeline, audio, visual, labels, epochs: int, lr: fl
     scratch = Scratch()
 
     def step(batch):
-        key = rng.next_u64() if model.dropout_active else None
+        key = rng.next_u64() if model.cross.dropout_p > 0.0 else None
         return model.update_loss(audio[batch], visual[batch], labels[batch], key, scratch)
 
     return descend(model.tensors(), len(labels), step, epochs, lr, rng, batch_size)
@@ -316,18 +312,21 @@ def train_rows(model: FusionPipeline, audio, visual, labels, epochs: int, lr: fl
 
 def train_pipeline(model: FusionPipeline, samples, epochs: int, lr: float,
                    rng: Rng, batch_size: int = 0) -> list:
-    """``train_rows`` over (audio, visual, label) triples, validated and
-    stacked once; returns the loss curve."""
+    """``train_rows`` over (audio, visual, label) triples of (n, d) feature
+    sets, stacked and checked once; returns the loss curve.  Ragged or
+    non-(n, d) sets raise DimMismatch."""
     if not samples:
         raise EmptyDataset("no training samples")
-    return train_rows(model, *model.stack(*zip(*samples)), epochs, lr, rng, batch_size)
+    audio, visual, labels = zip(*samples)
+    rows = model.check_rows(_stack_sets(audio, "audio"), _stack_sets(visual, "visual"), labels)
+    return train_rows(model, *rows, epochs, lr, rng, batch_size)
 
 
-def split_indices(n: int, rng: Rng, train_frac: float = 0.8):
-    """Seeded shuffle split; returns (train_idx, test_idx)."""
+def split_indices(n: int, rng: Rng):
+    """Seeded shuffle 80/20 split; returns (train_idx, test_idx)."""
     order = list(range(n))
     rng.shuffle(order)
-    cut = int(round(train_frac * n))
+    cut = int(round(0.8 * n))
     return order[:cut], order[cut:]
 
 

@@ -1,8 +1,10 @@
 """Binary file formats for feature sets and parameter checkpoints.
 
-Feature file ("AVF1"): 4-byte magic, u32 LE vector count n, u32 LE dim d,
-then n*d float32 LE values row-major.  The float32 payload is the only lossy
-step in the pipeline; everything in memory is float64.
+Feature file ("AVF1"): one (n, d) feature set.  4-byte magic, u32 LE
+vector count n, u32 LE dim d, then n*d float32 LE values row-major.  The
+float32 payload is the only lossy step in the pipeline; everything in
+memory is float64.  ``save_features`` checks the set (``check_set``) and
+``load_features`` returns a checked (n, d) array.
 
 Checkpoint ("AVFCKPT1"): 8-byte magic, then for each tensor: u16 LE name
 length, UTF-8 name, u32 LE rows, u32 LE cols, rows*cols float64 LE
@@ -16,8 +18,7 @@ import struct
 import numpy as np
 
 from .errors import BadTensorName, CorruptMagic, DimOverflow, TruncatedFile
-from .features import FeatureSet
-from .numeric import check_finite
+from .numeric import check_finite, check_set
 
 FEATURE_MAGIC = b"AVF1"
 CHECKPOINT_MAGIC = b"AVFCKPT1"
@@ -25,16 +26,18 @@ _U32_MAX = 0xFFFFFFFF
 _MAX_CELLS = 1 << 28  # refuse absurd headers before allocating
 
 
-def save_features(path, fs: FeatureSet) -> None:
-    if fs.n > _U32_MAX or fs.dim > _U32_MAX:
-        raise DimOverflow(f"feature set {fs.n}x{fs.dim} cannot be encoded as u32")
+def save_features(path, features) -> None:
+    features = check_set(features, "feature set")
+    n, d = features.shape
+    if n > _U32_MAX or d > _U32_MAX:
+        raise DimOverflow(f"feature set {n}x{d} cannot be encoded as u32")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", fs.n, fs.dim))
-        fh.write(fs.vectors.astype("<f4").tobytes())
+        fh.write(struct.pack("<II", n, d))
+        fh.write(features.astype("<f4").tobytes())
 
 
-def load_features(path) -> FeatureSet:
+def load_features(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 4 or data[:4] != FEATURE_MAGIC:
@@ -51,8 +54,7 @@ def load_features(path) -> FeatureSet:
         raise TruncatedFile(f"{len(data) - expected} trailing bytes after payload")
     values = np.frombuffer(data, dtype="<f4", count=n * d, offset=12)
     # checked before the cast: casting a signalling NaN warns
-    values = check_finite(values, "feature file").astype(np.float64)
-    return FeatureSet(values.reshape(n, d))
+    return check_finite(values, "feature file").astype(np.float64).reshape(n, d)
 
 
 def save_checkpoint(path, tensors: dict) -> None:

@@ -2,9 +2,11 @@
 
 Conventions used throughout the package: vectors are 1-D float64 arrays,
 matrices are 2-D row-major float64 arrays, batches stack samples along a
-leading axis.  Non-finite values are rejected once, where data enters the
-package (``check_finite``, ``check_vec``); the arithmetic primitives below
-assume validated input.  Fourier transforms are numpy's (``np.fft``).
+leading axis.  A feature set, one sample's input to an intra-modal fusion,
+is an (n, d) matrix of n frame vectors of dim d.  Non-finite values are
+rejected once, where data enters the package (``check_finite``,
+``check_vec``, ``check_set``); the arithmetic primitives below assume
+validated input.  Fourier transforms are numpy's (``np.fft``).
 """
 
 import math
@@ -57,6 +59,14 @@ def check_vec(x, name: str = "vector") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise DimMismatch(f"{name} must be 1-D with at least one entry, got shape {arr.shape}")
+    return check_finite(arr, name)
+
+
+def check_set(x, name: str) -> np.ndarray:
+    """Validate and return a finite (n, d) float64 feature set with n, d >= 1."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise DimMismatch(f"{name} must be n >= 1 vectors of dim >= 1, got shape {arr.shape}")
     return check_finite(arr, name)
 
 

@@ -208,5 +208,5 @@ class Rng:
     def normal_vec(self, size: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         return self.draws(np.ones(size, dtype=bool), mu, sigma)
 
-    def normal_mat(self, rows: int, cols: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        return self.normal_vec(rows * cols, mu, sigma).reshape(rows, cols)
+    def normal_mat(self, rows: int, cols: int) -> np.ndarray:
+        return self.normal_vec(rows * cols).reshape(rows, cols)

@@ -16,7 +16,7 @@ collapses.  The identity transform reproduces the base feature exactly.
 
 A dataset is three read-only arrays, filled block by block and checked
 finite once, when generated: audio (N, n_a, d_a), visual (N, n_v, d_v) and
-int64 labels (N,).  ``samples`` builds per-sample FeatureSets on access.
+int64 labels (N,).  ``samples`` indexes per-sample (n, d) views on access.
 """
 
 from collections.abc import Sequence
@@ -27,7 +27,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .enhance import ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows, normfft_rows
 from .errors import InvalidConfig
-from .features import FeatureSet
 from .numeric import BLOCK_FLOATS, check_finite
 from .rng import Rng
 
@@ -46,7 +45,7 @@ class SyntheticDataset:
 
     @property
     def samples(self) -> "_Samples":
-        """The (audio FeatureSet, visual FeatureSet, label) triples, built on access."""
+        """The (audio view, visual view, int label) triples, indexed on access."""
         return _Samples(self)
 
 
@@ -61,7 +60,7 @@ class _Samples(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         ds = self._dataset
-        return FeatureSet(ds.audio[i]), FeatureSet(ds.visual[i]), int(ds.labels[i])
+        return ds.audio[i], ds.visual[i], int(ds.labels[i])
 
 
 def enhanced_dim(base_dim: int, mode: str) -> int:

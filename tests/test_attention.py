@@ -10,7 +10,6 @@ from avfusion.attention import (POOLS, relation_pool, relation_pool_backward,
 from avfusion.checks import check_attention
 from avfusion.errors import DimMismatch
 from avfusion.experiment import IntraStage
-from avfusion.features import FeatureSet
 from avfusion.gradcheck import grad_check
 from avfusion.numeric import softmax
 from avfusion.rng import Rng
@@ -57,7 +56,7 @@ class TestSelfAttention:
     def test_dim_mismatch(self):
         stage = IntraStage("self", 3, 0, Rng(0))
         with pytest.raises(DimMismatch):
-            stage.forward(FeatureSet(two_features()))
+            stage.forward(two_features())
 
     def test_single_feature_gradient_wrt_w0_is_exactly_zero(self):
         rng = Rng(3)

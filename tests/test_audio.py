@@ -274,7 +274,7 @@ class TestPatchEmbed:
         spec = Spectrogram(values=rng.normal_mat(10, 9))
         params = PatchEmbedParams.init(2, 3, 5, 3, 5, rng)
         fs, _ = patch_embed(spec, params)
-        assert (fs.n, fs.dim) == (6, 5)
+        assert fs.shape == (6, 5)
 
     def test_identity_projection_returns_flattened_patches(self):
         rng = Rng(33)
@@ -284,9 +284,9 @@ class TestPatchEmbed:
                                   projection=np.eye(pixels), bias=np.zeros(pixels))
         fs, _ = patch_embed(spec, params)
         first_patch = spec.values[0:2, 0:2].ravel()
-        assert np.array_equal(fs.vectors[0], first_patch)
+        assert np.array_equal(fs[0], first_patch)
         last_patch = spec.values[2:4, 4:6].ravel()
-        assert np.array_equal(fs.vectors[5], last_patch)
+        assert np.array_equal(fs[5], last_patch)
 
     def test_patches_equal_the_tile_loop(self):
         # oracle: row-major tiles flattened one by one, remainder cut off
@@ -303,7 +303,7 @@ class TestPatchEmbed:
         spec = Spectrogram(values=rng.normal_mat(7, 7))
         params = PatchEmbedParams.init(2, 2, 3, 3, 4, rng)
         fs, _ = patch_embed(spec, params)
-        assert fs.n == 4
+        assert fs.shape[0] == 4
 
     def test_grid_too_fine(self):
         rng = Rng(35)
@@ -316,6 +316,17 @@ class TestPatchEmbed:
         with pytest.raises(GridTooFineForInput):
             PatchEmbedParams.init(4, 4, 0, 50, 2, rng)
         assert rng.next_u64() == twin.next_u64()
+
+    @pytest.mark.parametrize("grid", [(0, 2), (2, 0), (0, 0)])
+    def test_zero_grid_is_too_fine_not_a_division_by_zero(self, grid):
+        grid_h, grid_w = grid
+        params = PatchEmbedParams(grid_h=grid_h, grid_w=grid_w, channels=3,
+                                  projection=np.ones((16, 3)), bias=np.zeros(3))
+        specs = Rng(39).normal_mat(8, 8)[None]
+        with pytest.raises(GridTooFineForInput, match=f"grid {grid_h}x{grid_w} too fine"):
+            params.embed(specs)
+        with pytest.raises(GridTooFineForInput):
+            patch_embed(Spectrogram(values=specs[0]), params)
 
     def test_projection_shape_mismatch(self):
         rng = Rng(36)
@@ -342,7 +353,7 @@ class TestPatchEmbed:
         summed = {name: np.zeros_like(arr) for name, arr in params.params.items()}
         for b in range(3):
             fs, one_patches = patch_embed(Spectrogram(specs[b]), params)
-            assert np.max(np.abs(out[b] - fs.vectors)) <= 1e-12
+            assert np.max(np.abs(out[b] - fs)) <= 1e-12
             for name, grad in params.backward(one_patches, g[b:b + 1])[0].items():
                 summed[name] += grad
         for name, grad in grads.items():

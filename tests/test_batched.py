@@ -15,7 +15,6 @@ from avfusion.config import ExperimentConfig
 from avfusion.classifier import ClassScores, apply_class_weights, class_probs
 from avfusion.errors import DimMismatch, NonFiniteValue
 from avfusion.experiment import FusionPipeline, dataset_rows, prepare_dataset, train_pipeline
-from avfusion.features import FeatureSet
 from avfusion.gradcheck import grad_check
 from avfusion.rng import Rng, _GOLDEN, _MASK64, _splitmix64, counter_u64
 
@@ -41,7 +40,7 @@ def _rows_of_update(overrides, count=9):
     cfg = small_cfg(**overrides)
     dataset, _, _, rngs = prepare_dataset(cfg)
     model = FusionPipeline(cfg, rngs["init"])
-    return model, model.stack(*zip(*dataset.samples[:count]))
+    return model, dataset_rows(model, dataset, range(count))
 
 
 def _max_rel(a, b) -> float:
@@ -53,7 +52,7 @@ def _max_rel(a, b) -> float:
 def test_batched_update_equals_sum_of_single_samples(overrides, block_floats, monkeypatch):
     monkeypatch.setattr(experiment, "BLOCK_FLOATS", block_floats)
     model, (audio, visual, labels) = _rows_of_update(overrides)
-    key = KEY if model.dropout_active else None
+    key = KEY if model.cross.dropout_p > 0.0 else None
     if block_floats == 40:
         assert model.block_rows(audio, visual) < len(labels)  # several blocks
     loss, grads = model.update_loss(audio, visual, labels, key)
@@ -161,8 +160,8 @@ def test_scratch_reuse_leaks_nothing_between_blocks(monkeypatch):
     dataset, train_idx, _, rngs = prepare_dataset(cfg)
     samples = [dataset.samples[i] for i in train_idx]
     model = FusionPipeline(cfg, Rng(3))
-    audio, visual, labels = model.stack(*zip(*samples))
-    assert model.dropout_active and len(labels) % 5 == 2
+    audio, visual, labels = dataset_rows(model, dataset, train_idx)
+    assert model.cross.dropout_p > 0.0 and len(labels) % 5 == 2
     assert model.block_rows(audio, visual) == 2
     curve = train_pipeline(model, samples, cfg.epochs, 0.3, Rng(4), batch_size=5)
 
@@ -273,8 +272,8 @@ def test_ragged_sets_raise_dim_mismatch():
     cfg = small_cfg()
     model = FusionPipeline(cfg, Rng(2))
     rng = Rng(3)
-    samples = [(FeatureSet(rng.normal_mat(3, 4)), FeatureSet(rng.normal_mat(2, 3)), 0),
-               (FeatureSet(rng.normal_mat(4, 4)), FeatureSet(rng.normal_mat(2, 3)), 1)]
+    samples = [(rng.normal_mat(3, 4), rng.normal_mat(2, 3), 0),
+               (rng.normal_mat(4, 4), rng.normal_mat(2, 3), 1)]
     with pytest.raises(DimMismatch):
         train_pipeline(model, samples, epochs=1, lr=0.1, rng=Rng(4))
 
@@ -284,7 +283,7 @@ def test_labels_outside_the_classes_raise_dim_mismatch(label):
     cfg = small_cfg()
     model = FusionPipeline(cfg, Rng(2))
     rng = Rng(3)
-    samples = [(FeatureSet(rng.normal_mat(3, 4)), FeatureSet(rng.normal_mat(2, 3)), label)]
+    samples = [(rng.normal_mat(3, 4), rng.normal_mat(2, 3), label)]
     with pytest.raises(DimMismatch):
         train_pipeline(model, samples, epochs=1, lr=0.1, rng=Rng(4))
 
@@ -341,8 +340,16 @@ def test_transformer_gradients_away_from_the_zero_init(cross_mode, seed):
 def test_ragged_sets_keep_the_size_message():
     model = FusionPipeline(small_cfg(), Rng(2))
     rng = Rng(3)
-    visual = [FeatureSet(rng.normal_mat(2, 3)), FeatureSet(rng.normal_mat(2, 3))]
+    samples = [(rng.normal_mat(3, 4), rng.normal_mat(2, 3), 0),
+               (rng.normal_mat(3, 5), rng.normal_mat(2, 3), 1)]
     with pytest.raises(DimMismatch, match=r"audio feature sets differ in size; "
                                           r"every set must be \(3, 4\)"):
-        model.stack([FeatureSet(rng.normal_mat(3, 4)), FeatureSet(rng.normal_mat(3, 5))],
-                    visual)
+        train_pipeline(model, samples, epochs=1, lr=0.1, rng=Rng(4))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 3, 4), (0, 4), (3, 0)])
+def test_a_sample_that_is_not_n_by_d_raises_dim_mismatch(shape):
+    model = FusionPipeline(small_cfg(), Rng(2))
+    samples = [(np.ones(shape), Rng(3).normal_mat(2, 3), 0)]
+    with pytest.raises(DimMismatch, match="audio feature sets must be"):
+        train_pipeline(model, samples, epochs=1, lr=0.1, rng=Rng(4))

@@ -11,7 +11,6 @@ import pytest
 from avfusion.audio import AudioClip, write_wav
 from avfusion.cli import main
 from avfusion.featfile import load_features, save_features
-from avfusion.features import FeatureSet
 from avfusion.rng import Rng
 
 CFG_SMALL = """
@@ -52,13 +51,13 @@ class TestSpectrogram:
         out = tmp_path / "spec.avf"
         assert main(["spectrogram", str(wav_path), "--out", str(out)]) == 0
         fs = load_features(out)
-        assert (fs.n, fs.dim) == (97, 200)
+        assert fs.shape == (97, 200)
 
     def test_mel_flag(self, wav_path, tmp_path):
         out = tmp_path / "mel.avf"
         assert main(["spectrogram", str(wav_path), "--out", str(out), "--mel"]) == 0
         fs = load_features(out)
-        assert (fs.n, fs.dim) == (97, 120)  # 40 bands x 3 channels per frame
+        assert fs.shape == (97, 120)  # 40 bands x 3 channels per frame
 
     def test_missing_wav_fails_with_diagnostic(self, tmp_path, capsys):
         rc = main(["spectrogram", str(tmp_path / "none.wav"),
@@ -72,23 +71,23 @@ class TestSpectrogram:
 class TestFuse:
     def test_fuse_feature_files(self, cfg_path, tmp_path):
         rng = Rng(72)
-        save_features(tmp_path / "a.avf", FeatureSet(rng.normal_mat(3, 4)))
-        save_features(tmp_path / "v.avf", FeatureSet(rng.normal_mat(5, 4)))
+        save_features(tmp_path / "a.avf", rng.normal_mat(3, 4))
+        save_features(tmp_path / "v.avf", rng.normal_mat(5, 4))
         out = tmp_path / "fused.avf"
         rc = main(["fuse", "--config", str(cfg_path), "--audio", str(tmp_path / "a.avf"),
                    "--visual", str(tmp_path / "v.avf"), "--out", str(out)])
         assert rc == 0
         fused = load_features(out)
-        assert (fused.n, fused.dim) == (1, 8)  # fbp.o from the config
+        assert fused.shape == (1, 8)  # fbp.o from the config
 
     def test_fuse_accepts_wav_audio(self, cfg_path, wav_path, tmp_path):
         rng = Rng(73)
-        save_features(tmp_path / "v.avf", FeatureSet(rng.normal_mat(5, 4)))
+        save_features(tmp_path / "v.avf", rng.normal_mat(5, 4))
         out = tmp_path / "fused.avf"
         rc = main(["fuse", "--config", str(cfg_path), "--audio", str(wav_path),
                    "--visual", str(tmp_path / "v.avf"), "--out", str(out)])
         assert rc == 0
-        assert load_features(out).dim == 8
+        assert load_features(out).shape[1] == 8
 
     def test_corrupt_feature_file_fails(self, cfg_path, tmp_path, capsys):
         (tmp_path / "bad.avf").write_bytes(b"garbage")
@@ -105,8 +104,8 @@ class TestFuseConcat:
         cfg = tmp_path / "concat.cfg"
         cfg.write_text(f"cross.mode=concat\naudio.fusion={audio_fusion}\n"
                        f"visual.fusion={visual_fusion}\n")
-        save_features(tmp_path / "a.avf", FeatureSet(a))
-        save_features(tmp_path / "v.avf", FeatureSet(v))
+        save_features(tmp_path / "a.avf", a)
+        save_features(tmp_path / "v.avf", v)
         out = tmp_path / "fused.avf"
         rc = main(["fuse", "--config", str(cfg), "--audio", str(tmp_path / "a.avf"),
                    "--visual", str(tmp_path / "v.avf"), "--out", str(out)])
@@ -138,7 +137,7 @@ class TestFuseConcat:
         assert capsys.readouterr().err == ""
 
     def test_empty_modality_rejected(self, tmp_path, capsys):
-        save_features(tmp_path / "v.avf", FeatureSet(np.ones((1, 2))))
+        save_features(tmp_path / "v.avf", np.ones((1, 2)))
         (tmp_path / "a.avf").write_bytes(b"AVF1" + struct.pack("<II", 0, 3))
         (tmp_path / "concat.cfg").write_text("cross.mode=concat\n")
         rc = main(["fuse", "--config", str(tmp_path / "concat.cfg"),
@@ -261,7 +260,7 @@ class TestNonFiniteAndBadNames:
     def test_fuse_with_nan_feature_file(self, cfg_path, tmp_path, capsys):
         values = np.array([[1.0, np.nan, 0.5, 2.0]], dtype="<f4")
         (tmp_path / "nan.avf").write_bytes(b"AVF1" + struct.pack("<II", 1, 4) + values.tobytes())
-        save_features(tmp_path / "v.avf", FeatureSet(np.ones((2, 4))))
+        save_features(tmp_path / "v.avf", np.ones((2, 4)))
         rc = main(["fuse", "--config", str(cfg_path), "--audio", str(tmp_path / "nan.avf"),
                    "--visual", str(tmp_path / "v.avf"), "--out", str(tmp_path / "o.avf")])
         assert rc == 1
@@ -302,7 +301,7 @@ class TestHighRateWav:
         assert _single_error_line(capsys)
 
     def test_fuse_with_wav_audio(self, high_rate_wav, cfg_path, tmp_path, capsys):
-        save_features(tmp_path / "v.avf", FeatureSet(np.ones((3, 4))))
+        save_features(tmp_path / "v.avf", np.ones((3, 4)))
         rc = main(["fuse", "--config", str(cfg_path), "--audio", str(high_rate_wav),
                    "--visual", str(tmp_path / "v.avf"), "--out", str(tmp_path / "o.avf")])
         assert rc == 1
@@ -313,7 +312,7 @@ class TestPatchGridTooFine:
     """A WAV whose spectrogram is smaller than the patch grid leaves empty patches."""
 
     def _fuse(self, cfg, wav, tmp_path):
-        save_features(tmp_path / "v.avf", FeatureSet(np.ones((3, 4))))
+        save_features(tmp_path / "v.avf", np.ones((3, 4)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["fuse", "--config", str(cfg), "--audio", str(wav),
@@ -355,5 +354,5 @@ class TestSynth:
         labels = (out / "labels.tsv").read_text().splitlines()
         assert len(labels) == 35
         fs = load_features(out / "audio" / "000000.avf")
-        assert (fs.n, fs.dim) == (2, 4)
-        assert load_features(out / "visual" / "000034.avf").n == 2
+        assert fs.shape == (2, 4)
+        assert load_features(out / "visual" / "000034.avf").shape[0] == 2

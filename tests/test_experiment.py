@@ -5,12 +5,11 @@ import pytest
 
 from avfusion.checks import check_pipeline
 from avfusion.config import ExperimentConfig
-from avfusion.errors import DimMismatch, EmptyDataset
+from avfusion.errors import DimMismatch, EmptyDataset, NonFiniteValue
 from avfusion.experiment import (FusionPipeline, IntraStage, compute_metrics,
                                  evaluate_pipeline, experiment_rngs, prepare_dataset,
                                  run_experiment, split_indices, train_pipeline)
 from avfusion.featfile import load_checkpoint
-from avfusion.features import FeatureSet
 from avfusion.rng import Rng
 
 
@@ -97,14 +96,22 @@ class TestIntraStage:
     def test_forward_rejects_the_wrong_feature_dim(self, kind):
         stage = IntraStage(kind, 4, 3, Rng(12))
         with pytest.raises(DimMismatch):
-            stage.forward(FeatureSet(np.ones((2, 5))))
+            stage.forward(np.ones((2, 5)))
+
+    @pytest.mark.parametrize("kind", ["self", "relation", "transformer"])
+    def test_forward_rejects_a_set_that_holds_nan(self, kind):
+        stage = IntraStage(kind, 4, 3, Rng(12))
+        feats = np.ones((3, 4))
+        feats[1, 2] = np.nan
+        with pytest.raises(NonFiniteValue):
+            stage.forward(feats)
 
     @pytest.mark.parametrize("kind", ["self", "relation", "transformer"])
     def test_forward_is_row_0_of_pool(self, kind):
         rng = Rng(13)
         stage = IntraStage(kind, 4, 3, rng)
         feats = rng.normal_mat(3, 4)
-        pooled, _ = stage.forward(FeatureSet(feats))
+        pooled, _ = stage.forward(feats)
         rows, _ = stage.pool(feats[None])
         assert pooled.shape == (stage.out_dim,)
         assert pooled.tobytes() == rows[0].tobytes()
@@ -254,7 +261,7 @@ class TestEvaluateOnArrays:
                        rngs["train"])
         for indices in (test_idx, range(len(dataset.labels)), [5, 5, 0]):
             samples = [dataset.samples[i] for i in indices]
-            audio, visual, labels = model.stack(*zip(*samples))
+            audio, visual, labels = map(np.array, zip(*samples))
             preds = model.predict_rows(audio, visual)
             assert len(indices) < 4 or len(set(preds.tolist())) > 1
             want = compute_metrics(labels, preds, classes)

@@ -8,7 +8,6 @@ from avfusion.errors import (BadTensorName, CorruptMagic, DimOverflow, NonFinite
                              TruncatedFile)
 from avfusion.featfile import (load_checkpoint, load_features, save_checkpoint,
                                save_features)
-from avfusion.features import FeatureSet
 from avfusion.rng import Rng
 
 
@@ -25,19 +24,19 @@ class TestFeatureFile:
 
     def test_round_trip_within_float32_rounding(self, tmp_path):
         rng = Rng(41)
-        fs = FeatureSet(rng.normal_mat(7, 5))
+        fs = rng.normal_mat(7, 5)
         path = tmp_path / "f.avf"
         save_features(path, fs)
         back = load_features(path)
-        assert (back.n, back.dim) == (7, 5)
-        rel = np.abs(back.vectors - fs.vectors) / np.maximum(np.abs(fs.vectors), 1e-30)
+        assert back.shape == (7, 5)
+        rel = np.abs(back - fs) / np.maximum(np.abs(fs), 1e-30)
         assert np.max(rel) <= 1.2e-7
 
     def test_round_trip_is_bit_exact_for_float32_values(self, tmp_path):
         values = np.array([[1.0, -0.5, 0.25, 3.0]])
         path = tmp_path / "exact.avf"
-        save_features(path, FeatureSet(values))
-        assert np.array_equal(load_features(path).vectors, values)
+        save_features(path, values)
+        assert np.array_equal(load_features(path), values)
 
     def test_empty_file_is_corrupt_magic(self, tmp_path):
         path = tmp_path / "empty.avf"

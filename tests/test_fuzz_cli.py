@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from avfusion.audio import AudioClip, write_wav
 from avfusion.cli import main
 from avfusion.featfile import save_features
-from avfusion.features import FeatureSet
 from avfusion.rng import Rng
 
 # tiny on purpose: 14 samples, 3 epochs; a 100 ms WAV gives 7 frames, so the
@@ -63,8 +62,8 @@ def seed_files(tmp_path_factory):
     t = np.arange(1600) / 16000
     write_wav(root / "clip.wav", AudioClip(samples=0.4 * np.sin(2 * np.pi * 440 * t),
                                            sample_rate=16000))
-    save_features(root / "audio.avf", FeatureSet(rng.normal_mat(3, 4)))
-    save_features(root / "visual.avf", FeatureSet(rng.normal_mat(2, 4)))
+    save_features(root / "audio.avf", rng.normal_mat(3, 4))
+    save_features(root / "visual.avf", rng.normal_mat(2, 4))
     (root / "exp.cfg").write_text(CFG)
     assert main(["train", "--config", str(root / "exp.cfg"), "--out-dir", str(root / "run")]) == 0
     (root / "ckpt.bin").write_bytes((root / "run" / "checkpoint.bin").read_bytes())

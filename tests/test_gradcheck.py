@@ -98,7 +98,7 @@ def _cases():
     """(id, run) for every module checker at instance 90000 and every
     check_pipeline(104000, cross, kind, kind) combination."""
     for name in checks.MODULES:
-        yield name, partial(lambda name: checks.run_module_checks(name, 1, 90000)[name], name)
+        yield name, partial(lambda name: checks.run_module_checks(name, 1)[name], name)
     for cross in CROSS_FUSIONS:
         for kind in POOLS:
             yield f"pipeline-{cross}-{kind}", partial(checks.check_pipeline, 104000, cross,
@@ -149,3 +149,11 @@ def test_a_wrong_gradient_fails_its_check(run, tensor, monkeypatch):
     for factor in (1.0 + 1e-3, 0.0):
         monkeypatch.setattr(checks, "grad_check", partial(_mutated_check, tensor, factor))
         assert run() >= checks.GRAD_TOL, f"{tensor}'s gradient times {factor} passed"
+
+
+# Instance 73000 returns 2.27e-4: at audio.w1[3] the gradient is about 7e-8,
+# and central differences at epsilon 1e-5 lose it to round-off (ROADMAP
+# item 5).  A mend of the comparison turns this into a strict-xfail failure.
+@pytest.mark.xfail(strict=True, reason="round-off at tiny gradients (ROADMAP item 5)")
+def test_the_round_off_instance_passes_its_check():
+    assert checks.check_pipeline(73000, "concat", "relation", "relation") < checks.GRAD_TOL

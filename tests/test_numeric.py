@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from avfusion.audio import FFT_SIZE, _spectrum
 from avfusion.errors import AvfusionError, DimMismatch, NonFiniteValue
-from avfusion.numeric import check_finite, check_vec, sigmoid, softmax
+from avfusion.numeric import check_finite, check_set, check_vec, sigmoid, softmax
 from avfusion.rng import Rng
 
 
@@ -99,6 +99,25 @@ def test_non_finite_rejection_is_a_package_error_and_a_value_error():
         check_vec(np.array([np.inf]))
     assert isinstance(exc.value, AvfusionError)
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 4), (3, 0), (1, 3, 4)])
+def test_check_set_rejects_what_is_not_n_by_d(shape):
+    with pytest.raises(DimMismatch, match=r"features must be n >= 1 vectors of dim >= 1"):
+        check_set(np.ones(shape), "features")
+
+
+def test_check_set_rejects_non_finite_values():
+    feats = np.ones((3, 4))
+    feats[2, 1] = -np.inf
+    with pytest.raises(NonFiniteValue, match="features contains NaN or Inf"):
+        check_set(feats, "features")
+
+
+def test_check_set_returns_a_float64_set():
+    feats = check_set([[1, 2, 3], [4, 5, 6]], "features")
+    assert feats.dtype == np.float64 and feats.shape == (2, 3)
+    assert feats.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
 
 def test_softmax_rows_are_independent():

@@ -71,8 +71,10 @@ def test_guard_runner_repeats_a_tiny_run(tmp_path):
     first = guard.run_line("tiny", TINY, str(tmp_path / "first"))
     assert first == guard.run_line("tiny", TINY, str(tmp_path / "second"))
     assert first.startswith("tiny [seed=5,data.samples=14,")
-    assert re.search(r" accuracy=\S+ checkpoint\.bin=[0-9a-f]{64} report\.txt=[0-9a-f]{64} "
-                     r"confusion\.csv=[0-9a-f]{64}$", first)
+    match = re.search(r" accuracy=\S+ checkpoint\.bin=([0-9a-f]{64}) report\.txt=[0-9a-f]{64} "
+                      r"confusion\.csv=[0-9a-f]{64} train_pipeline=([0-9a-f]{64})$", first)
+    # run_experiment and train_pipeline on dataset.samples train the same bytes
+    assert match and match[1] == match[2]
 
 
 def test_guard_compare_prints_only_the_lines_that_differ(tmp_path):

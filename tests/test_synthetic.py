@@ -7,7 +7,6 @@ from avfusion.config import ExperimentConfig
 from avfusion.enhance import (ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows,
                               normfft_rows)
 from avfusion.errors import InvalidConfig, NonFiniteValue
-from avfusion.features import FeatureSet
 from avfusion.rng import Rng
 from avfusion.synthetic import SyntheticDataset, enhanced_dim, gen_synthetic
 from test_classifier import fit_softmax
@@ -27,7 +26,7 @@ class TestClustered:
         ds = gen_synthetic(cfg, Rng(cfg.seed))
         by_label = {}
         for audio_fs, visual_fs, label in ds.samples:
-            frames = audio_fs.vectors
+            frames = audio_fs
             assert np.all(frames == frames[0])  # all frames identical
             if label in by_label:
                 assert np.array_equal(by_label[label], frames[0])
@@ -47,15 +46,15 @@ class TestClustered:
         assert len(a.samples) == len(b.samples)
         for (fa, va, la), (fb, vb, lb) in zip(a.samples, b.samples):
             assert la == lb
-            assert np.array_equal(fa.vectors, fb.vectors)
-            assert np.array_equal(va.vectors, vb.vectors)
+            assert np.array_equal(fa, fb)
+            assert np.array_equal(va, vb)
 
     def test_shapes_follow_config(self):
         cfg = clustered_cfg(audio_frames=4, visual_frames=2, audio_dim=3, visual_dim=6)
         ds = gen_synthetic(cfg, Rng(2))
         audio_fs, visual_fs, _ = ds.samples[0]
-        assert (audio_fs.n, audio_fs.dim) == (4, 3)
-        assert (visual_fs.n, visual_fs.dim) == (2, 6)
+        assert audio_fs.shape == (4, 3)
+        assert visual_fs.shape == (2, 6)
 
     def test_fewer_samples_than_classes_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -81,7 +80,7 @@ class TestInteraction:
         cfg = interaction_cfg()
         ds = gen_synthetic(cfg, Rng(cfg.seed))
         for modality in (0, 1):
-            xs = [np.mean(sample[modality].vectors, axis=0) for sample in ds.samples]
+            xs = [np.mean(sample[modality], axis=0) for sample in ds.samples]
             ys = [sample[2] for sample in ds.samples]
             params = SoftmaxParams(weight=np.zeros((2, 6)), bias=np.zeros(2))
             trained, _ = fit_softmax(xs, ys, params, lr=0.5, epochs=60)
@@ -108,7 +107,7 @@ class TestEnhancement:
         cfg = clustered_cfg(enhance_mode=mode, samples=14, classes=7)
         ds = gen_synthetic(cfg, Rng(6))
         _, visual_fs, _ = ds.samples[0]
-        assert visual_fs.dim == enhanced_dim(cfg.visual_dim, mode)
+        assert visual_fs.shape[1] == enhanced_dim(cfg.visual_dim, mode)
 
     def test_mean_enhancement_is_close_to_base_feature(self):
         # the identity transform is in the bag and perturbations are small
@@ -116,8 +115,8 @@ class TestEnhancement:
         cfg_mean = clustered_cfg(noise=0.0, samples=7, enhance_mode="mean")
         base = gen_synthetic(cfg_none, Rng(cfg_none.seed))
         enhanced = gen_synthetic(cfg_mean, Rng(cfg_mean.seed))
-        v0 = base.samples[0][1].vectors[0]
-        v1 = enhanced.samples[0][1].vectors[0]
+        v0 = base.samples[0][1][0]
+        v1 = enhanced.samples[0][1][0]
         assert np.max(np.abs(v0 - v1)) < 0.5
 
 
@@ -188,7 +187,7 @@ def loop_gen_synthetic(cfg, rng):
                                                                           cfg.visual_dim)
             label = 1 if sign_a * sign_v > 0 else 0
         visual = np.array([enhancer(frame) for frame in visual_base])
-        samples.append((FeatureSet(audio), FeatureSet(visual), label))
+        samples.append((audio, visual, label))
     return samples
 
 
@@ -203,17 +202,17 @@ def assert_same_dataset(cfg):
     assert dataset.labels.dtype == np.int64
     assert dataset.labels.tolist() == [label for _, _, label in want]
     for row, (wa, wv, _) in enumerate(want):
-        assert dataset.audio[row].tobytes() == wa.vectors.tobytes()
-        assert dataset.visual[row].tobytes() == wv.vectors.tobytes()
-    # the FeatureSets built on access
+        assert dataset.audio[row].tobytes() == wa.tobytes()
+        assert dataset.visual[row].tobytes() == wv.tobytes()
+    # the views indexed on access
     got = dataset.samples
     assert len(got) == len(want)
     for i, (wa, wv, wlabel) in enumerate(want):
         a, v, label = got[i]
         assert type(label) is int and label == wlabel
-        assert a.vectors.shape == wa.vectors.shape and v.vectors.shape == wv.vectors.shape
-        assert a.vectors.tobytes() == wa.vectors.tobytes()
-        assert v.vectors.tobytes() == wv.vectors.tobytes()
+        assert a.shape == wa.shape and v.shape == wv.shape
+        assert a.tobytes() == wa.tobytes()
+        assert v.tobytes() == wv.tobytes()
     # both leave the stream at the same point
     assert bulk_rng.next_u64() == loop_rng.next_u64()
 
@@ -257,7 +256,7 @@ class TestArrays:
                 arr[0] = 0
         a, _, _ = ds.samples[0]
         with pytest.raises(ValueError, match="read-only"):
-            a.vectors[0, 0] = 1.0
+            a[0, 0] = 1.0
 
     @pytest.mark.parametrize("name", ["audio", "visual"])
     def test_non_finite_arrays_are_rejected_once_at_the_dataset(self, name):
@@ -274,8 +273,8 @@ class TestArrays:
         assert n == 35 == len(ds.labels)
 
         def same(x, y):
-            return (x[0].vectors.tobytes() == y[0].vectors.tobytes()
-                    and x[1].vectors.tobytes() == y[1].vectors.tobytes() and x[2] == y[2])
+            return (x[0].tobytes() == y[0].tobytes()
+                    and x[1].tobytes() == y[1].tobytes() and x[2] == y[2])
 
         assert all(same(samples[-k], samples[n - k]) for k in range(1, n + 1))
         for sl in (slice(None, 4), slice(-3, None), slice(1, 30, 7), slice(None, None, -5),

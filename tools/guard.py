@@ -8,6 +8,10 @@ It imports avfusion from the ``src/`` next to this directory.  For each
 guard config it trains and evaluates as ``avfusion train`` does, in a
 temporary directory, and prints one line: the config's keys, the accuracy,
 and the sha256 of ``checkpoint.bin``, ``report.txt`` and ``confusion.csv``.
+The line ends with ``train_pipeline=``, the sha256 of the checkpoint that
+``train_pipeline`` trains on the same split taken from ``dataset.samples``:
+the path perfbench times, which ``run_experiment`` does not take.  The two
+checkpoint digests of a line are equal.
 Then it prints the ``run_module_checks("all", 10)`` floats and the six
 ``check_pipeline(104000, cross, kind, kind)`` floats, one per line.
 
@@ -32,7 +36,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from avfusion.attention import POOLS  # noqa: E402
 from avfusion.checks import check_pipeline, run_module_checks  # noqa: E402
 from avfusion.config import CROSS_FUSIONS, parse_config  # noqa: E402
-from avfusion.experiment import run_experiment  # noqa: E402
+from avfusion.experiment import (FusionPipeline, prepare_dataset, run_experiment,  # noqa: E402
+                                 train_pipeline)
+from avfusion.featfile import save_checkpoint  # noqa: E402
 
 ARTIFACTS = ("checkpoint.bin", "report.txt", "confusion.csv")
 
@@ -55,15 +61,25 @@ GUARD = (
 )
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def run_line(name: str, keys: dict, out_dir: str) -> str:
-    """Train and evaluate one config into ``out_dir``; its guard line."""
-    text = "\n".join(f"{key}={value}" for key, value in keys.items())
-    result = run_experiment(parse_config(text), out_dir=out_dir)
-    digests = " ".join(
-        f"{artifact}={hashlib.sha256((Path(out_dir) / artifact).read_bytes()).hexdigest()}"
-        for artifact in ARTIFACTS)
+    """Train and evaluate one config into ``out_dir``, train it again through
+    ``train_pipeline``; its guard line."""
+    cfg = parse_config("\n".join(f"{key}={value}" for key, value in keys.items()))
+    result = run_experiment(cfg, out_dir=out_dir)
+    digests = " ".join(f"{artifact}={_sha256(Path(out_dir) / artifact)}"
+                       for artifact in ARTIFACTS)
+    dataset, train_idx, _, rngs = prepare_dataset(cfg)
+    model = FusionPipeline(cfg, rngs["init"])
+    train_pipeline(model, [dataset.samples[i] for i in train_idx], cfg.epochs, cfg.lr,
+                   rngs["train"], cfg.batch_size)
+    save_checkpoint(Path(out_dir) / "train_pipeline.bin", model.tensors())
     config = ",".join(f"{key}={value}" for key, value in keys.items()) or "defaults"
-    return f"{name} [{config}] accuracy={result.metrics.accuracy!r} {digests}"
+    return (f"{name} [{config}] accuracy={result.metrics.accuracy!r} {digests} "
+            f"train_pipeline={_sha256(Path(out_dir) / 'train_pipeline.bin')}")
 
 
 def check_lines() -> list:
