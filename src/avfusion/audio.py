@@ -3,10 +3,11 @@
 The speech path frames the signal with a periodic Hamming window (40 ms
 window, 10 ms hop by default), zero-pads each frame to a 1024-point FFT, and
 keeps the 200 lowest-frequency magnitude bins on a natural-log scale.  The
-mel path shares the framing, applies a triangular HTK-scale filterbank to the
-power spectrum, and stacks the log energies with their deltas and
-delta-deltas into a 3-channel cube.  A window longer than the FFT (40 ms at
-44.1 or 48 kHz) is rejected before anything is framed.
+mel path applies a triangular HTK-scale filterbank to the power spectrum and
+stacks the log energies, deltas and delta-deltas into a 3-channel cube.  Both
+window and transform the frames in blocks of 16, so only their outputs and
+the mel path's power rows span the whole clip.  A window longer than the FFT
+(40 ms at 44.1 or 48 kHz) is rejected before anything is framed.
 
 ``PatchEmbedParams`` is a linear patch-embedding stage with the pipeline's
 stage interface (``params``, a batched forward ``embed``, ``backward``): it
@@ -20,10 +21,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ClipTooShort, CorruptHeader, DimMismatch, GridTooFineForInput,
                      UnsupportedFormat)
-from .numeric import check_finite
+from .numeric import BLOCK_FLOATS, check_finite
 from .rng import Rng
 
 SUPPORTED_RATES = (8000, 16000, 44100, 48000)
@@ -76,17 +78,16 @@ def read_wav(path) -> AudioClip:
 
     Anything else (stereo, float, compressed, other bit depths) raises
     UnsupportedFormat; malformed or truncated containers raise CorruptHeader.
-    Samples are scaled by 1/32768.
+    Samples are scaled by 1/32768; chunks are memoryview slices, not copies.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptHeader("not a RIFF/WAVE file")
     pos = 12
-    fmt = None
-    payload = None
+    fmt = payload = None
     while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
+        chunk_id = bytes(data[pos:pos + 4])
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8:pos + 8 + size]
         if len(body) < size:
@@ -110,7 +111,7 @@ def read_wav(path) -> AudioClip:
     if len(payload) % 2 != 0:
         raise CorruptHeader("data chunk length is not a whole number of samples")
     raw = np.frombuffer(payload, dtype="<i2")
-    return AudioClip(samples=raw.astype(np.float64) / 32768.0, sample_rate=rate)
+    return AudioClip(samples=raw / 32768.0, sample_rate=rate)
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -143,31 +144,29 @@ def _frame_lengths(clip: AudioClip, window_ms: float, hop_ms: float):
     return win, hop
 
 
-def frame_signal(clip: AudioClip, window_ms: float = 40.0,
-                 hop_ms: float = 10.0) -> np.ndarray:
-    """Split a clip into Hamming-windowed frames; shape (frames, win).
-
-    win and hop are window_ms and hop_ms in samples; the frame count is
-    floor((N - win)/hop) + 1, trailing samples that do not fill a window are
-    dropped.
-    """
-    win, hop = _frame_lengths(clip, window_ms, hop_ms)
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
-    return frames * hamming_periodic(win)
-
-
 def _spectrum(frames: np.ndarray) -> np.ndarray:
     """FFT_SIZE-point real FFT of zero-padded frames, (frames, FFT_SIZE//2 + 1)."""
     return np.fft.rfft(frames, n=FFT_SIZE)
 
 
-def _stft(clip: AudioClip, window_ms: float, hop_ms: float) -> np.ndarray:
-    """_spectrum of the clip's Hamming-windowed frames."""
-    win, _hop = _frame_lengths(clip, window_ms, hop_ms)
+def _walk_spectra(clip: AudioClip, window_ms: float, hop_ms: float, width: int,
+                  reduce) -> np.ndarray:
+    """(frames, width) rows: ``reduce`` of the _spectrum of each block of
+    BLOCK_FLOATS // FFT_SIZE Hamming-windowed frames, cut from a strided view of
+    the samples, so no whole-clip frame or spectrum array exists.  win and hop
+    are window_ms and hop_ms in samples; there are floor((N - win)/hop) + 1
+    frames, trailing samples that do not fill a window are dropped."""
+    win, hop = _frame_lengths(clip, window_ms, hop_ms)
     # rfft would silently crop a longer frame to FFT_SIZE, so refuse it before framing
     if win > FFT_SIZE:
         raise ValueError(f"window of {win} samples exceeds FFT size {FFT_SIZE}")
-    return _spectrum(frame_signal(clip, window_ms, hop_ms))
+    frames = sliding_window_view(clip.samples, win)[::hop]
+    window = hamming_periodic(win)
+    out = np.empty((len(frames), width))
+    step = BLOCK_FLOATS // FFT_SIZE
+    for r0 in range(0, len(frames), step):
+        out[r0:r0 + step] = reduce(_spectrum(frames[r0:r0 + step] * window))
+    return out
 
 
 def speech_spectrogram(clip: AudioClip, window_ms: float = 40.0,
@@ -177,8 +176,9 @@ def speech_spectrogram(clip: AudioClip, window_ms: float = 40.0,
     Frames are zero-padded to the 1024-point FFT, magnitudes are floored at
     1e-10 before the natural log.
     """
-    mag = np.abs(_stft(clip, window_ms, hop_ms)[:, :SPEECH_BINS])
-    return Spectrogram(values=np.log(np.maximum(mag, LOG_FLOOR)))
+    return Spectrogram(values=_walk_spectra(
+        clip, window_ms, hop_ms, SPEECH_BINS,
+        lambda spec: np.log(np.maximum(np.abs(spec[:, :SPEECH_BINS]), LOG_FLOOR))))
 
 
 def mel_filterbank(bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
@@ -190,7 +190,6 @@ def mel_filterbank(bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
     """
     if bands < 10:
         raise ValueError(f"need at least 10 mel bands, got {bands}")
-    n_bins = fft_size // 2 + 1
 
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
@@ -200,27 +199,25 @@ def mel_filterbank(bands: int, fft_size: int, sample_rate: int) -> np.ndarray:
 
     mels = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0), bands + 2)
     edges = mel_to_hz(mels) * fft_size / sample_rate  # fractional bin positions
-    bank = np.zeros((bands, n_bins))
-    bins = np.arange(n_bins, dtype=np.float64)
-    for b in range(bands):
-        lo, center, hi = edges[b], edges[b + 1], edges[b + 2]
-        rising = (bins - lo) / (center - lo)
-        falling = (hi - bins) / (hi - center)
-        bank[b] = np.maximum(0.0, np.minimum(rising, falling))
-        if not np.any(bank[b] > 0.0):
-            raise ValueError(f"mel filter {b} covers no FFT bin; reduce the band count")
+    lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    bins = np.arange(fft_size // 2 + 1, dtype=np.float64)
+    bank = np.maximum(0.0, np.minimum((bins - lo) / (center - lo), (hi - bins) / (hi - center)))
+    empty = np.flatnonzero(~np.any(bank > 0.0, axis=1))
+    if empty.size:
+        raise ValueError(f"mel filter {empty[0]} covers no FFT bin; reduce the band count")
     return bank
 
 
 def log_mel_3d(clip: AudioClip, bands: int = 40, window_ms: float = 40.0,
                hop_ms: float = 10.0) -> MelCube:
     """Log mel-spectrogram with delta and delta-delta channels, (bands, frames, 3)."""
-    power = np.abs(_stft(clip, window_ms, hop_ms)) ** 2
+    # the power rows stay whole: a per-block projection onto the bank rounds differently
+    power = _walk_spectra(clip, window_ms, hop_ms, FFT_SIZE // 2 + 1,
+                          lambda spec: np.abs(spec) ** 2)
     bank = mel_filterbank(bands, FFT_SIZE, clip.sample_rate)
     static = np.log(np.maximum(power @ bank.T, LOG_FLOOR)).T  # (bands, frames)
     d1 = deltas(static)
-    d2 = deltas(d1)
-    return MelCube(values=np.stack([static, d1, d2], axis=-1))
+    return MelCube(values=np.stack([static, d1, deltas(d1)], axis=-1))
 
 
 def deltas(x: np.ndarray, width: int = 2) -> np.ndarray:

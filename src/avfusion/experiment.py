@@ -164,9 +164,11 @@ class FusionPipeline:
     # --- input validation ---------------------------------------------------
     def check_rows(self, audio, visual, labels=None):
         """(B, n, d) audio and visual arrays and (B,) int labels, checked
-        against the model: each feature dim must be its stage's, and labels
-        must lie in 0..classes-1, or DimMismatch is raised."""
+        against the model: each set must hold n >= 1 vectors of its stage's
+        dim, and labels must lie in 0..classes-1, or DimMismatch is raised."""
         for name, rows, stage in (("audio", audio, self.audio), ("visual", visual, self.visual)):
+            if rows.shape[1] < 1:
+                raise DimMismatch(f"{name} feature sets need n >= 1 vectors, got {rows.shape}")
             if rows.shape[2] != stage.in_dim:
                 raise DimMismatch(f"{name} features have dim {rows.shape[2]}, "
                                   f"the model expects {stage.in_dim}")

@@ -17,7 +17,8 @@ from .errors import DimMismatch, NonFiniteValue
 
 # Batched code walks its rows in blocks whose widest temporaries hold at most
 # this many float64 values (128 KiB), so peak memory does not grow with the
-# batch.  Training and scoring reuse FBP's block buffers through a ``Scratch``.
+# batch, or with the clip in the audio front end (16 frames of 1024 points).
+# Training and scoring reuse FBP's block buffers through a ``Scratch``.
 BLOCK_FLOATS = 1 << 14
 
 

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from avfusion import audio
 from avfusion.audio import (AudioClip, PatchEmbedParams, Spectrogram, deltas,
-                            frame_signal, log_mel_3d, mel_filterbank,
-                            patch_embed, read_wav, speech_spectrogram, write_wav)
+                            log_mel_3d, mel_filterbank, patch_embed, read_wav,
+                            speech_spectrogram, write_wav)
 from avfusion.checks import check_patch_embed
 from avfusion.errors import (ClipTooShort, CorruptHeader, DimMismatch,
                              GridTooFineForInput, NonFiniteValue, UnsupportedFormat)
@@ -49,6 +50,22 @@ class TestWav:
         write_wav(path, clip)
         back = read_wav(path)
         assert np.max(np.abs(back.samples - clip.samples)) < 1.0 / 32768.0
+
+    def test_samples_equal_the_copying_decode_after_an_odd_chunk(self, tmp_path):
+        # a 3-byte chunk and its pad byte precede the data chunk
+        path = tmp_path / "odd.wav"
+        raw = Rng(40).uniform_vec(999, -32768, 32768).astype("<i2")
+        raw[:2] = -32768, 32767
+        payload = raw.tobytes()
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 48 + len(payload)) + b"WAVE")
+            fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SR, SR * 2, 2, 16))
+            fh.write(b"LIST" + struct.pack("<I", 3) + b"abc\x00")
+            fh.write(b"data" + struct.pack("<I", len(payload)) + payload)
+        clip = read_wav(path)
+        oracle = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        assert clip.samples.dtype == np.float64
+        assert clip.samples.tobytes() == oracle.tobytes()
 
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -105,37 +122,81 @@ class TestClip:
             AudioClip(samples=samples, sample_rate=SR)
 
 
+def sliced_loop_oracle(clip, window_ms, hop_ms, bands=40):
+    """(speech values, mel cube) from every frame at once: the explicit
+    slicing loop times the periodic Hamming formula, then one whole-array rfft."""
+    rate = clip.sample_rate
+    win = int(round(rate * window_ms / 1000.0))
+    hop = int(round(rate * hop_ms / 1000.0))
+    count = (len(clip) - win) // hop + 1
+    window = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(win) / win)
+    frames = np.array([clip.samples[i * hop:i * hop + win] for i in range(count)]) * window
+    spectrum = np.fft.rfft(frames, n=1024)
+    speech = np.log(np.maximum(np.abs(spectrum[:, :200]), 1e-10))
+    power = np.abs(spectrum) ** 2
+    static = np.log(np.maximum(power @ mel_filterbank(bands, 1024, rate).T, 1e-10)).T
+    d1 = deltas(static)
+    return speech, np.stack([static, d1, deltas(d1)], axis=-1)
+
+
+def noise_clip(samples, rate=SR, seed=37):
+    return AudioClip(samples=np.clip(Rng(seed).normal_vec(samples, 0.0, 0.3), -1.0, 1.0),
+                     sample_rate=rate)
+
+
+def assert_features_equal_the_oracle(clip, window_ms=40.0, hop_ms=10.0):
+    speech, mel = sliced_loop_oracle(clip, window_ms, hop_ms)
+    spec = speech_spectrogram(clip, window_ms, hop_ms)
+    cube = log_mel_3d(clip, 40, window_ms, hop_ms)
+    assert spec.values.shape == speech.shape and cube.values.shape == mel.shape
+    assert spec.values.tobytes() == speech.tobytes()
+    assert cube.values.tobytes() == mel.tobytes()
+    return spec.frames
+
+
 class TestFraming:
+    """Both features frame, window and transform a clip in blocks of 16
+    frames; the oracle does it all at once, and the bytes must agree."""
+
     def test_frames_equal_the_sliced_loop(self):
-        # oracle: the explicit slicing loop the strided view replaced
-        samples = np.clip(Rng(37).normal_vec(5000, 0.0, 0.3), -1.0, 1.0)
-        clip = AudioClip(samples=samples, sample_rate=SR)
-        win, hop = 400, 160
-        count = (len(samples) - win) // hop + 1
-        window = 0.54 - 0.46 * np.cos(2 * np.pi * np.arange(win) / win)
-        oracle = np.array([samples[i * hop:i * hop + win] for i in range(count)]) * window
-        assert np.array_equal(frame_signal(clip, 25.0, 10.0), oracle)
+        assert assert_features_equal_the_oracle(noise_clip(5000), 25.0, 10.0) == 29
+
+    @pytest.mark.parametrize("window_ms, hop_ms", [(40.0, 10.0), (25.0, 10.0), (20.0, 5.0)])
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("frames", [1, 15, 16, 17, 31, 32, 33, "8s"])
+    def test_every_block_split_equals_the_whole_array_oracle(self, frames, rate,
+                                                             window_ms, hop_ms):
+        win = int(round(rate * window_ms / 1000.0))
+        hop = int(round(rate * hop_ms / 1000.0))
+        # hop - 1 trailing samples that fill no window
+        n = 8 * rate if frames == "8s" else win + (frames - 1) * hop + hop - 1
+        count = assert_features_equal_the_oracle(noise_clip(n, rate), window_ms, hop_ms)
+        assert count == (n - win) // hop + 1
+        if frames != "8s":
+            assert count == frames
 
     def test_one_second_gives_97_frames(self):
-        frames = frame_signal(tone())
-        assert frames.shape == (97, 640)
+        assert speech_spectrogram(tone()).frames == 97
+        assert log_mel_3d(tone()).values.shape[1] == 97
 
     def test_exactly_one_window(self):
         clip = AudioClip(samples=np.ones(640) * 0.5, sample_rate=SR)
-        assert frame_signal(clip).shape[0] == 1
+        assert speech_spectrogram(clip).frames == 1
+        assert log_mel_3d(clip).values.shape[1] == 1
 
     def test_too_short_raises(self):
         clip = AudioClip(samples=np.zeros(639), sample_rate=SR)
-        with pytest.raises(ClipTooShort):
-            frame_signal(clip)
+        for featurize in (speech_spectrogram, log_mel_3d):
+            with pytest.raises(ClipTooShort):
+                featurize(clip)
 
     def test_constant_signal_first_frame_is_the_window(self):
         # oracle: periodic Hamming formula 0.54 - 0.46 cos(2 pi t / win)
         clip = AudioClip(samples=np.ones(SR), sample_rate=SR)
-        frames = frame_signal(clip)
         t = np.arange(640)
-        oracle = 0.54 - 0.46 * np.cos(2 * np.pi * t / 640)
-        assert np.max(np.abs(frames[0] - oracle)) < 1e-12
+        window = 0.54 - 0.46 * np.cos(2 * np.pi * t / 640)
+        oracle = np.log(np.maximum(np.abs(np.fft.rfft(window, n=1024)[:200]), 1e-10))
+        assert np.array_equal(speech_spectrogram(clip).values[0], oracle)
 
     @given(st.integers(min_value=640, max_value=20000),
            st.integers(min_value=2, max_value=80),
@@ -147,15 +208,37 @@ class TestFraming:
         hop = int(round(SR * hop_ms / 1000.0))
         if n < win:
             with pytest.raises(ClipTooShort):
-                frame_signal(clip, window_ms, hop_ms)
+                speech_spectrogram(clip, window_ms, hop_ms)
             return
-        frames = frame_signal(clip, window_ms, hop_ms)
+        if win > 1024:
+            with pytest.raises(ValueError, match="exceeds FFT size"):
+                speech_spectrogram(clip, window_ms, hop_ms)
+            return
         # oracle: count frames with an explicit loop
         count, start = 0, 0
         while start + win <= n:
             count += 1
             start += hop
-        assert frames.shape == (count, win)
+        assert speech_spectrogram(clip, window_ms, hop_ms).frames == count
+
+
+def test_peak_memory_stays_near_the_output():
+    # 30 s at 16 kHz: 2,997 frames, whose whole-clip spectra would be 24.6 MB
+    clip = noise_clip(30 * SR)
+    tracemalloc.start()
+    try:
+        spec = speech_spectrogram(clip)
+        speech_peak = tracemalloc.get_traced_memory()[1]
+        del spec
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        log_mel_3d(clip)
+        mel_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    frames = (30 * SR - 640) // 160 + 1
+    assert speech_peak <= frames * 200 * 8 + 2 * 2**20
+    assert mel_peak <= 2 * frames * 513 * 8
 
 
 class TestSpeechSpectrogram:
@@ -198,7 +281,8 @@ def _refuse_framing(*args, **kwargs):
 @pytest.mark.parametrize("featurize", [speech_spectrogram, log_mel_3d])
 def test_high_rate_window_is_rejected_before_framing(rate, featurize, monkeypatch):
     clip = AudioClip(samples=np.zeros(rate), sample_rate=rate)
-    monkeypatch.setattr(audio, "frame_signal", _refuse_framing)
+    # the strided view of the samples is where framing starts
+    monkeypatch.setattr(audio, "sliding_window_view", _refuse_framing)
     with pytest.raises(ValueError, match="exceeds FFT size 1024") as exc:
         featurize(clip)
     assert type(exc.value) is ValueError

@@ -353,3 +353,17 @@ def test_a_sample_that_is_not_n_by_d_raises_dim_mismatch(shape):
     samples = [(np.ones(shape), Rng(3).normal_mat(2, 3), 0)]
     with pytest.raises(DimMismatch, match="audio feature sets must be"):
         train_pipeline(model, samples, epochs=1, lr=0.1, rng=Rng(4))
+
+
+@pytest.mark.parametrize("kind", ["self", "relation", "transformer"])
+def test_empty_sets_are_refused_before_predict_rows_and_batch_loss(kind):
+    # a (B, 0, d) stack reached numpy's zero-size reduction as a bare ValueError
+    model = FusionPipeline(small_cfg(audio_fusion=kind, visual_fusion=kind), Rng(2))
+    rng = Rng(3)
+    audio, visual = rng.normal_mat(6, 4).reshape(2, 3, 4), rng.normal_mat(4, 3).reshape(2, 2, 3)
+    for name, rows in (("audio", (np.zeros((2, 0, 4)), visual)),
+                       ("visual", (audio, np.zeros((2, 0, 3))))):
+        with pytest.raises(DimMismatch, match=f"{name} feature sets need n >= 1 vectors"):
+            model.predict_rows(*model.check_rows(*rows)[:2])
+        with pytest.raises(DimMismatch, match=f"{name} feature sets need n >= 1 vectors"):
+            model.batch_loss(*model.check_rows(*rows, [0, 1]))
