@@ -14,10 +14,24 @@ Test vectors (first three ``next_u64`` outputs):
     seed 1  -> 5424204624148110235, 15555979849632202484, 6851360858507811590
     seed 42 -> 3580622183945639842, 10378725325292465923, 8967075514996744559
 
-Vector draws (``u64_block``, ``draws``, ``*_vec``) are the scalar calls'
-exact stream.  The state update T is linear over GF(2), so each lane of
-``_LANE`` draws starts one jump by T^_LANE after the last (Haramoto et al.,
-INFORMS J. Computing 2008), and all lanes step together in numpy ``uint64``.
+Vector draws (``u64_block``, ``draws``, ``*_vec``, ``shuffle``) are the
+scalar calls' exact stream:
+
+- ``u64_block``: the state update T is linear over GF(2), so each lane of
+  ``_LANE`` draws starts T^_LANE after the last (Haramoto et al., INFORMS J.
+  Computing 2008), and all lanes step together in numpy ``uint64``.  The
+  lane starts come in rounds: a round applies T^(_LANE * known) to every
+  start known so far, which doubles them, through byte tables of
+  T^(_LANE * 2^k) built once per process by squaring.
+- ``draws`` (normals): Box-Muller keeps one ``math.log`` and one
+  ``math.cos`` per normal, in the scalar order, fed from a ``memoryview``
+  into ``np.fromiter``; numpy's own ``log`` differs from libm's in the last
+  bit on some inputs.  A first uniform of 0, which ``normal`` redraws,
+  makes the call rewind and replay the scalar calls.
+- ``shuffle``: the n - 1 draws of Fisher-Yates come in one ``u64_block``,
+  are checked against ``randint``'s rejection limits and reduced modulo
+  n, n - 1, ..., 2 in numpy.  An output ``randint`` would reject makes the
+  call rewind and replay ``randint``.
 
 Dropout masks come from a second, counter-based stream after
 Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011):
@@ -38,9 +52,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MUL = 0x2545F4914F6CDD1D
-_LANE = 64  # draws per lane of a bulk call; a power of two, for the squaring
+_LANE = 16  # draws per lane of a bulk call; a power of two
 # below this many draws the scalar loop is faster than the _LANE numpy steps
-_BULK_MIN = 512
+_BULK_MIN = 256
+_BYTES = np.arange(8)
 
 
 def _splitmix64(x: int) -> int:
@@ -51,38 +66,44 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _byte_tables(cols: list) -> list:
-    """[b][v]: image of byte b = v under the GF(2) map with columns ``cols``."""
-    tables = []
-    for b in range(8):
-        table = [0] * 256
-        for v in range(1, 256):
-            table[v] = table[v & (v - 1)] ^ cols[8 * b + (v & -v).bit_length() - 1]
-        tables.append(table)
-    return tables
-
-
-def _jump(tables: list, x: int) -> int:
-    """The linear map held in byte tables, applied to the state x."""
-    out = 0
-    for table in tables:
-        out ^= table[x & 255]
-        x >>= 8
-    return out
+def _jump(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The GF(2) linear map held in (8, 256) byte tables, applied to each
+    state of the uint64 array x: the XOR of its bytes' images."""
+    octets = x.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.bitwise_xor.reduce(tables[_BYTES, octets], axis=1)
 
 
 @cache
-def _lane_jump() -> list:
-    """Byte tables of T^_LANE, the state update applied _LANE times."""
-    probe, cols = Rng(0), []
-    for i in range(64):  # T's columns: the update of each unit state
-        probe._state = 1 << i
-        probe.next_u64()
-        cols.append(probe._state)
-    tables = _byte_tables(cols)
-    for _ in range(_LANE.bit_length() - 1):  # square
-        tables = _byte_tables([_jump(tables, _jump(tables, 1 << i)) for i in range(64)])
+def _lane_tables(k: int) -> np.ndarray:
+    """Byte tables of T^(_LANE * 2^k), the state update applied _LANE * 2^k
+    times: entry [b, v] is the image of the state whose byte b is v."""
+    if k == 0:
+        probe, cols = Rng(0), []
+        for i in range(64):  # the image of each unit state
+            probe._state = 1 << i
+            for _ in range(_LANE):
+                probe.next_u64()
+            cols.append(probe._state)
+        cols = np.array(cols, dtype=np.uint64)
+    else:  # square
+        half = _lane_tables(k - 1)
+        cols = _jump(half, _jump(half, np.uint64(1) << np.arange(64, dtype=np.uint64)))
+    tables, cols = np.zeros((8, 256), dtype=np.uint64), cols.reshape(8, 8)
+    for bit in range(8):
+        tables[:, 1 << bit:2 << bit] = tables[:, :1 << bit] ^ cols[:, bit:bit + 1]
     return tables
+
+
+def _lane_starts(state: int, lanes: int) -> np.ndarray:
+    """``state`` advanced by 0, _LANE, 2 * _LANE, ... steps, one per lane;
+    round k jumps the 2^k starts known by _LANE * 2^k steps, doubling them."""
+    starts = np.empty(lanes, dtype=np.uint64)
+    starts[0], known, k = state, 1, 0
+    while known < lanes:
+        step = min(known, lanes - known)
+        starts[known:known + step] = _jump(_lane_tables(k), starts[:step])
+        known, k = known + step, k + 1
+    return starts
 
 
 def _unit(raw: np.ndarray) -> np.ndarray:
@@ -90,6 +111,12 @@ def _unit(raw: np.ndarray) -> np.ndarray:
     outputs, which it shifts in place."""
     raw >>= np.uint64(11)
     return raw * (1.0 / (1 << 53))
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) of each element of the contiguous float64
+    array ``x``, in order, with no Python list in between."""
+    return np.fromiter(map(fn, memoryview(x)), np.float64, x.size)
 
 
 def counter_u64(key: int, start: int, stop: int) -> np.ndarray:
@@ -128,16 +155,16 @@ class Rng:
         """The next ``count`` outputs of ``next_u64``, as a uint64 array."""
         if count < _BULK_MIN:
             return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
-        tables, starts = _lane_jump(), [self._state]
-        for _ in range((count - 1) // _LANE):
-            starts.append(_jump(tables, starts[-1]))
-        x = np.array(starts, dtype=np.uint64)
-        states = np.empty((_LANE, x.size), dtype=np.uint64)
-        for row in states:
-            x ^= x >> np.uint64(12)
-            x ^= x << np.uint64(25)
-            x ^= x >> np.uint64(27)
-            row[:] = x
+        x = _lane_starts(self._state, (count - 1) // _LANE + 1)
+        states, tmp = np.empty((_LANE, x.size), dtype=np.uint64), np.empty_like(x)
+        for row in states:  # row = T(x) with no temporaries
+            np.right_shift(x, np.uint64(12), out=row)
+            row ^= x
+            np.left_shift(row, np.uint64(25), out=tmp)
+            row ^= tmp
+            np.right_shift(row, np.uint64(27), out=tmp)
+            row ^= tmp
+            x = row
         states = states.T.reshape(-1)[:count]
         self._state = int(states[-1])
         return states * np.uint64(_MUL)
@@ -157,8 +184,8 @@ class Rng:
             out, u2 = u[first], u[first[is_normal] + 1]
             u1 = out[is_normal]
             if (u1 != 0.0).all():
-                r = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
-                c = np.array(list(map(math.cos, ((2.0 * math.pi) * u2).tolist())))
+                r = np.sqrt(-2.0 * _libm(math.log, u1))
+                c = _libm(math.cos, (2.0 * math.pi) * u2)
                 out[is_normal] = mu + sigma * r * c
                 return out
             self._state = start
@@ -184,9 +211,9 @@ class Rng:
         return mu + sigma * r * math.cos(2.0 * math.pi * u2)
 
     def randint(self, n: int) -> int:
-        """Unbiased integer in [0, n) via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randint bound must be positive")
+        """Unbiased integer in [0, n) via rejection sampling; 1 <= n <= 2^64."""
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError("randint bound must be in [1, 2**64]")
         limit = _MASK64 - (_MASK64 + 1) % n
         while True:
             x = self.next_u64()
@@ -194,9 +221,21 @@ class Rng:
                 return x % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """In-place Fisher-Yates shuffle: for i = n-1, ..., 1, swap items i
+        and ``randint(i + 1)``.  The n - 1 outputs come in one ``u64_block``;
+        if ``randint`` would reject any of them (each with probability below
+        n / 2^64), the call rewinds and replays the scalar draws."""
+        n, start = len(items), self._state
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        raw = self.u64_block(bounds.size)
+        # randint's limit, 2^64 - 1 - 2^64 % b, with 2^64 % b = (2^64 - 1) % b + 1 mod b
+        mask = np.uint64(_MASK64)
+        if (raw <= mask - (mask % bounds + 1) % bounds).all():
+            picks = (raw % bounds).tolist()
+        else:
+            self._state = start
+            picks = [self.randint(b) for b in range(n, 1, -1)]
+        for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def uniform_vec(self, size: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:

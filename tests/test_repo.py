@@ -91,3 +91,19 @@ def test_guard_compare_prints_only_the_lines_that_differ(tmp_path):
     diff = guard.compare(str(tmp_path), runs, checks=False)
     assert [line[:8] for line in diff] == ["- tiny [", "+ tiny ["]
     assert diff[0][2:] != diff[1][2:]
+
+
+def test_guard_rng_line_tells_two_streams_apart(tmp_path):
+    guard = _load_guard()
+    assert re.fullmatch(r"rng sha256=[0-9a-f]{64}", guard.rng_line())
+    # a copy of the package whose bulk lanes step with another shift draws
+    # another stream in every bulk call
+    shutil.copytree(PACKAGE, tmp_path / "src" / "avfusion",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    rng = tmp_path / "src" / "avfusion" / "rng.py"
+    text = rng.read_text()
+    assert text.count("np.right_shift(row, np.uint64(27)") == 1
+    rng.write_text(text.replace("np.right_shift(row, np.uint64(27)",
+                                "np.right_shift(row, np.uint64(26)"))
+    diff = guard.compare(str(tmp_path), [], checks=False)
+    assert [line[:13] for line in diff] == ["- rng sha256=", "+ rng sha256="]

@@ -55,6 +55,16 @@ def test_randint_covers_range_without_bias_smoke():
         rng.randint(0)
 
 
+def test_randint_bound_above_2_to_the_64_is_refused():
+    # its rejection limit would be negative, so no draw would ever be accepted
+    rng = Rng(1)
+    with pytest.raises(ValueError):
+        rng.randint(2**65)
+    with pytest.raises(ValueError):
+        rng.randint(2**64 + 1)
+    assert rng.randint(2**64) == Rng(1).next_u64()  # the largest bound takes every output
+
+
 def test_shuffle_is_a_permutation():
     rng = Rng(10)
     items = list(range(50))
@@ -63,6 +73,46 @@ def test_shuffle_is_a_permutation():
     again = list(range(50))
     Rng(10).shuffle(again)
     assert items == again
+
+
+def _scalar_shuffle(rng, items):
+    """Fisher-Yates on scalar draws: swap i and randint(i + 1) for i = n-1 .. 1."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 65, 280, 511, 512, 513, 2000])
+def test_shuffle_is_the_scalar_fisher_yates(n):
+    block, scalar = Rng(40 + n), Rng(40 + n)
+    got, want = list(range(n)), list(range(n))
+    block.shuffle(got)
+    _scalar_shuffle(scalar, want)
+    assert got == want
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("n", [3, 280, 2000])
+def test_shuffle_replays_the_scalar_draws_on_a_rejected_output(n, monkeypatch):
+    # an output of 2**64 - 1 is above randint's limit for any bound that is
+    # not a power of two, such as n, the bound of the first output
+    calls = []
+    block_draw = Rng.u64_block
+
+    def one_over_limit(self, count):
+        calls.append(count)
+        raw = block_draw(self, count)
+        raw[0] = np.uint64(_MASK)
+        return raw
+
+    monkeypatch.setattr(Rng, "u64_block", one_over_limit)
+    block, scalar = Rng(41), Rng(41)
+    got, want = list(range(n)), list(range(n))
+    block.shuffle(got)
+    assert calls == [n - 1]
+    _scalar_shuffle(scalar, want)
+    assert got == want
+    assert block.next_u64() == scalar.next_u64()
 
 
 def test_normal_moments():
@@ -81,8 +131,16 @@ def test_seed_is_masked_to_64_bits():
 
 _MASK = (1 << 64) - 1
 _MUL = 0x2545F4914F6CDD1D
-BULK_COUNTS = sorted({1, _LANE - 1, _LANE, _LANE + 1, _BULK_MIN - 1, _BULK_MIN,
-                      _BULK_MIN + 1, 5 * _LANE, 9 * _LANE + 7, 40 * _LANE + 1})
+
+
+def _boundaries(lane, bulk_min):
+    return {lane - 1, lane, lane + 1, bulk_min - 1, bulk_min, bulk_min + 1,
+            5 * lane, 9 * lane + 7, 40 * lane + 1}
+
+
+# this generator's lane and bulk boundaries, and those of the 64-draw lanes
+# and 512-draw bulk minimum it had before, which now fall inside bulk calls
+BULK_COUNTS = sorted({1} | _boundaries(_LANE, _BULK_MIN) | _boundaries(64, 512))
 
 
 @pytest.mark.parametrize("count", [0] + BULK_COUNTS)
@@ -113,14 +171,25 @@ def test_normal_vec_is_the_scalar_stream(count, mu, sigma):
     assert bulk.next_u64() == scalar.next_u64()
 
 
-def test_mixed_draws_are_the_scalar_stream():
-    # the interaction generator's layout: uniforms, then normals, per sample
-    layout = np.tile([False] * 4 + [True] * 36, 30)
-    bulk, scalar = Rng(34), Rng(34)
+def _assert_draws_replay_the_scalar_calls(layout, state):
+    bulk, scalar = Rng(0), Rng(0)
+    bulk._state = scalar._state = state
     got = bulk.draws(layout)
     want = [scalar.normal() if k else scalar.uniform() for k in layout]
     assert got.tobytes() == np.array(want).tobytes()
     assert bulk.next_u64() == scalar.next_u64()
+
+
+def test_mixed_draws_are_the_scalar_stream():
+    # the interaction generator's layout: uniforms, then normals, per sample
+    _assert_draws_replay_the_scalar_calls(np.tile([False] * 4 + [True] * 36, 30),
+                                          Rng(34)._state)
+
+
+def test_large_mixed_draws_are_the_scalar_stream():
+    # the interaction layout over 500 samples: 38,000 outputs, many lanes
+    _assert_draws_replay_the_scalar_calls(np.tile([False] * 4 + [True] * 36, 500),
+                                          Rng(35)._state)
 
 
 def _unstep(x):
@@ -154,8 +223,9 @@ def test_zero_first_uniform_in_a_bulk_call_is_redrawn(k):
     assert probe.u64_block(2 * k + 1)[-1] >> np.uint64(11) == 0
     bulk, scalar = Rng(0), Rng(0)
     bulk._state = scalar._state = start
-    got = bulk.normal_vec(_BULK_MIN, 1.0, 2.0)
-    want = np.array([scalar.normal(1.0, 2.0) for _ in range(_BULK_MIN)])
+    count = _BULK_MIN + k  # a bulk call whose outputs reach 2k
+    got = bulk.normal_vec(count, 1.0, 2.0)
+    want = np.array([scalar.normal(1.0, 2.0) for _ in range(count)])
     assert got.tobytes() == want.tobytes()
     assert np.all(np.isfinite(got))
     assert bulk.next_u64() == scalar.next_u64()
@@ -163,10 +233,5 @@ def test_zero_first_uniform_in_a_bulk_call_is_redrawn(k):
 
 def test_zero_first_uniform_in_mixed_draws_is_redrawn():
     # slot 2 is the first normal, after two uniforms: its u1 is output 2
-    layout = np.tile([False, False] + [True] * 20, 30)
-    bulk, scalar = Rng(0), Rng(0)
-    bulk._state = scalar._state = _state_before_zero_uniform(2)
-    got = bulk.draws(layout)
-    want = [scalar.normal() if k else scalar.uniform() for k in layout]
-    assert got.tobytes() == np.array(want).tobytes()
-    assert bulk.next_u64() == scalar.next_u64()
+    _assert_draws_replay_the_scalar_calls(np.tile([False, False] + [True] * 20, 30),
+                                          _state_before_zero_uniform(2))

@@ -12,7 +12,13 @@ The line ends with ``train_pipeline=``, the sha256 of the checkpoint that
 ``train_pipeline`` trains on the same split taken from ``dataset.samples``:
 the path perfbench times, which ``run_experiment`` does not take.  The two
 checkpoint digests of a line are equal.
-Then it prints the ``run_module_checks("all", 10)`` floats and the six
+Then it prints the ``rng`` line: the sha256 of seeded generator draws
+(``u64_block`` at the lane and bulk boundaries of this tree and of earlier
+ones and at 152,000 outputs, ``normal_vec(72000)``, the interaction data's
+``draws`` layout and ``shuffle(list(range(2000)))``), each followed by the
+generator's next output, which pins the state the call left.  A change to
+the seeded stream shows there even where no guard run reaches it.
+Last come the ``run_module_checks("all", 10)`` floats and the six
 ``check_pipeline(104000, cross, kind, kind)`` floats, one per line.
 
 ``--compare OTHER_TREE`` runs the same set twice: here, and in a
@@ -31,6 +37,8 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from avfusion.attention import POOLS  # noqa: E402
@@ -39,6 +47,7 @@ from avfusion.config import CROSS_FUSIONS, parse_config  # noqa: E402
 from avfusion.experiment import (FusionPipeline, prepare_dataset, run_experiment,  # noqa: E402
                                  train_pipeline)
 from avfusion.featfile import save_checkpoint  # noqa: E402
+from avfusion.rng import Rng  # noqa: E402
 
 ARTIFACTS = ("checkpoint.bin", "report.txt", "confusion.csv")
 
@@ -82,6 +91,32 @@ def run_line(name: str, keys: dict, out_dir: str) -> str:
             f"train_pipeline={_sha256(Path(out_dir) / 'train_pipeline.bin')}")
 
 
+# u64_block sizes: around the lane (16, 64) and bulk (256, 512) sizes the
+# generator has used, and a large call; fixed here so that two trees compare
+# the same calls
+RNG_COUNTS = (1, 15, 16, 17, 63, 64, 65, 255, 256, 257, 511, 512, 513, 152000)
+
+
+def rng_line() -> str:
+    """The sha256 of the seeded draws listed in the module docstring."""
+    digest = hashlib.sha256()
+
+    def take(rng: Rng, values) -> None:
+        digest.update(np.asarray(values).tobytes())
+        digest.update(rng.next_u64().to_bytes(8, "little"))
+
+    for count in RNG_COUNTS:
+        rng = Rng(count)
+        take(rng, rng.u64_block(count))
+    rng = Rng(1)
+    take(rng, rng.normal_vec(72000))
+    take(rng, rng.draws(np.tile([False] * 4 + [True] * 36, 2000)))
+    order = list(range(2000))
+    rng.shuffle(order)
+    take(rng, np.array(order, dtype=np.int64))
+    return f"rng sha256={digest.hexdigest()}"
+
+
 def check_lines() -> list:
     """The module gradient-check floats, then the pipeline ones at seed 104000."""
     lines = [f"module {name} {float(value)!r}"
@@ -94,11 +129,12 @@ def check_lines() -> list:
 
 
 def guard_lines(runs=GUARD, checks: bool = True):
-    """The set's lines, one at a time: ``runs`` as (name, config keys), then
-    the gradient-check floats when ``checks``."""
+    """The set's lines, one at a time: ``runs`` as (name, config keys), the
+    ``rng`` line, then the gradient-check floats when ``checks``."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, keys in runs:
             yield run_line(name, keys, str(Path(tmp) / name))
+    yield rng_line()
     if checks:
         yield from check_lines()
 
