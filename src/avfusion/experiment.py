@@ -18,6 +18,7 @@ outputs.
 """
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,9 @@ class FusionPipeline:
                       if cfg.cross_mode == "fbp" else Concat(m, n))
         self.clf = SoftmaxParams.init(cfg.classes, self.cross.out_dim, rng)
         self.class_weights = ClassWeights(np.array(resolved_class_weights(cfg)))
+        # scoring's block buffers, kept across predict_rows calls; the lock
+        # marks them taken, and a call that finds them taken makes its own
+        self._score_scratch, self._scoring = Scratch(), threading.Lock()
 
     # --- parameter registry -------------------------------------------------
     def tensors(self) -> dict:
@@ -242,19 +246,26 @@ class FusionPipeline:
     def predict_rows(self, audio, visual) -> np.ndarray:
         """Class-reweighted predictions (B,) for stacked rows.
 
-        The blocks share one ``Scratch``, made here, and write their class
+        The blocks share the model's scoring ``Scratch``, so that repeated
+        scoring does not fault its buffers in again (a call made while
+        another holds it makes its own), and write their class
         probabilities into one (B, C) array, which is checked and reweighted
         once.  As in training, numpy's overflow warnings are silenced;
         non-finite scores raise NonFiniteValue.
         """
         step = self.block_rows(audio, visual)
         probs = np.empty((len(audio), self.clf.classes))
-        scratch = Scratch()
+        owned = self._scoring.acquire(blocking=False)
+        scratch = self._score_scratch if owned else Scratch()
         with np.errstate(over="ignore", invalid="ignore"):
-            for r0 in range(0, len(audio), step):
-                fused, _ = self.fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step],
-                                          scratch=scratch)
-                probs[r0:r0 + step] = class_probs(fused, self.clf.weight, self.clf.bias)
+            try:
+                for r0 in range(0, len(audio), step):
+                    fused, _ = self.fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step],
+                                              scratch=scratch)
+                    probs[r0:r0 + step] = class_probs(fused, self.clf.weight, self.clf.bias)
+            finally:
+                if owned:
+                    self._scoring.release()
             return apply_class_weights(ClassScores(probs), self.class_weights)[1]
 
 

@@ -28,7 +28,8 @@ class Scratch:
     ``take`` returns a C-contiguous float64 view of uninitialized values,
     in a buffer grown when a block is larger than any before.  A view is
     valid until the next ``take`` of its name, so a scratch belongs to one
-    caller: ``train_rows`` and ``predict_rows`` each make one per call.
+    caller at a time: ``train_rows`` makes one per call, and a model's
+    ``predict_rows`` calls take turns with the model's own.
     """
 
     def __init__(self):

@@ -268,6 +268,26 @@ def test_scoring_does_not_fault_its_block_buffers_in_again():
     assert int(done.stdout) / 10 <= 20
 
 
+def test_scoring_while_the_models_scratch_is_held_makes_its_own(monkeypatch):
+    # several blocks, so the buffers are reused within the call too
+    monkeypatch.setattr(experiment, "BLOCK_FLOATS", 40)
+    model, (audio, visual, _) = _rows_of_update(CONFIGS[0], count=21)
+    want = model.predict_rows(audio, visual)
+    buffers = model._score_scratch._flat
+    assert set(buffers) == {"proj_a", "proj_v", "h"}
+    for flat in buffers.values():
+        flat.fill(np.nan)
+    # free after each call; hold it, as a concurrent call would
+    assert model._scoring.acquire(blocking=False)
+    try:
+        got = model.predict_rows(audio, visual)
+    finally:
+        model._scoring.release()
+    assert all(np.isnan(flat).all() for flat in buffers.values())  # not written
+    assert got.tolist() == want.tolist()
+    assert model.predict_rows(audio, visual).tolist() == want.tolist()
+
+
 def test_ragged_sets_raise_dim_mismatch():
     cfg = small_cfg()
     model = FusionPipeline(cfg, Rng(2))
