@@ -4,11 +4,12 @@ Attention-based intra-modal pooling, factorized bilinear cross-modal fusion,
 feature-enhancement aggregators, spectrogram front-ends, and a softmax
 classifier with class re-weighting — all with hand-derived gradients
 validated by finite differences, plus a config-driven experiment CLI.
+Feature sets, class scores and class weights are plain numpy arrays; an
+``ExperimentConfig`` checks its own rules when it is built.
 """
 
 from .attention import POOLS
-from .classifier import (ClassScores, ClassWeights, SoftmaxParams,
-                         apply_class_weights, class_probs)
+from .classifier import SoftmaxParams, apply_class_weights, class_probs
 from .config import ExperimentConfig, load_config, parse_config
 from .enhance import (TtaTransform, ar_mean_rows, enumerate_tta, mean_rows,
                       meanstd_rows, normfft_rows)

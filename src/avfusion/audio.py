@@ -220,19 +220,18 @@ def log_mel_3d(clip: AudioClip, bands: int = 40, window_ms: float = 40.0,
     return MelCube(values=np.stack([static, d1, deltas(d1)], axis=-1))
 
 
-def deltas(x: np.ndarray, width: int = 2) -> np.ndarray:
-    """Regression deltas over the time axis (axis 1), edge frames replicated.
+def deltas(x: np.ndarray) -> np.ndarray:
+    """Regression deltas over the time axis (axis 1), two frames each side,
+    edge frames replicated.
 
-    d_t = sum_{w=1..width} w (x_{t+w} - x_{t-w}) / (2 sum_{w} w^2)
+    d_t = sum_{w=1,2} w (x_{t+w} - x_{t-w}) / (2 sum_{w=1,2} w^2)
     """
-    padded = np.pad(x, ((0, 0), (width, width)), mode="edge")
-    denom = 2.0 * sum(w * w for w in range(1, width + 1))
+    padded = np.pad(x, ((0, 0), (2, 2)), mode="edge")
     out = np.zeros_like(x)
     frames = x.shape[1]
-    for w in range(1, width + 1):
-        out += w * (padded[:, width + w:width + w + frames]
-                    - padded[:, width - w:width - w + frames])
-    return out / denom
+    for w in (1, 2):
+        out += w * (padded[:, 2 + w:2 + w + frames] - padded[:, 2 - w:2 - w + frames])
+    return out / 10.0
 
 
 @dataclass

@@ -4,8 +4,9 @@
 cross-entropy of stacked (B, d_in) rows and ``backward`` takes its cache.
 Scoring calls ``class_probs`` on the stage's arrays.
 Training is ``experiment.descend``, the package's one gradient-descent loop.
-Predicted scores can be re-weighted by per-class positive factors
-before the argmax; the default weight vector used by the experiment configs
+Class probabilities and class weights are plain arrays: ``apply_class_weights``
+multiplies the scores by per-class positive factors before the argmax.  The
+weights come from a config, which checks them; the default weight vector
 reflects square-root class frequencies of an emotion corpus.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch
-from .numeric import check_finite, check_vec, softmax
+from .numeric import softmax
 from .rng import Rng
 
 # square-root sample-count weights for the 7 emotion classes
@@ -57,48 +58,23 @@ class SoftmaxParams:
         return {"weight": d_logits.T @ x, "bias": d_logits.sum(axis=0)}, d_logits @ self.weight
 
 
-@dataclass
-class ClassWeights:
-    weights: np.ndarray  # (C,), strictly positive
-
-    def __post_init__(self):
-        self.weights = check_vec(self.weights, "class weights")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("class weights must be strictly positive")
-
-
-@dataclass
-class ClassScores:
-    probs: np.ndarray  # (C,) or (B, C); nonnegative rows that sum to 1
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim not in (1, 2) or probs.size < 1:
-            raise DimMismatch(f"class scores must be (C,) or (B, C), got shape {probs.shape}")
-        self.probs = check_finite(probs, "class scores")
-        if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
-            raise ValueError("class scores must be a probability vector")
-
-
 def class_probs(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Softmax class probabilities for input rows x (B, d_in): (B, C)."""
     return softmax(x @ weight.T + bias)
 
 
-def apply_class_weights(scores: ClassScores, weights: ClassWeights):
-    """Multiply scores by per-class weights (no renormalization) and argmax.
+def apply_class_weights(probs: np.ndarray, weights: np.ndarray):
+    """Argmax of (C,) or (B, C) class probabilities times (C,) per-class
+    weights, without renormalization: the predicted index for one score
+    vector, an int array (B,) for stacked scores.
 
     Ties in the reweighted scores break toward the higher raw score, then
     the lowest index.  Rounding can make two distinct scores tie once scaled
     by the same weight, so this keeps uniform weights from changing the
-    prediction.  Returns (reweighted, predicted): an int for one score
-    vector, an int array for stacked (B, C) scores.
+    prediction.
     """
-    probs = scores.probs
-    w = weights.weights
-    if probs.shape[-1:] != w.shape:
-        raise DimMismatch(f"scores dim {probs.shape} != weights dim {w.shape}")
-    reweighted = probs * w
+    if probs.shape[-1:] != weights.shape:
+        raise DimMismatch(f"scores dim {probs.shape} != weights dim {weights.shape}")
+    reweighted = probs * weights
     best = reweighted == reweighted.max(axis=-1, keepdims=True)
-    predicted = np.argmax(np.where(best, probs, -1.0), axis=-1)
-    return reweighted, (int(predicted) if probs.ndim == 1 else predicted)
+    return np.argmax(np.where(best, probs, -1.0), axis=-1)

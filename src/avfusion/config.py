@@ -1,9 +1,10 @@
 """Experiment configuration: key=value files with dotted keys.
 
 Format: UTF-8 lines, ``#`` starts a comment, blank lines ignored, one
-``key=value`` pair per line.  Unknown and duplicate keys are rejected, enum
-values are validated at load time.  The env var ``AVF_SEED`` overrides the
-seed.  See the README for the full key table.
+``key=value`` pair per line.  The parser rejects unknown and duplicate keys;
+every other rule is checked by ``ExperimentConfig``, a frozen dataclass, each
+time one is built (directly, by ``dataclasses.replace`` or from a file).  The
+env var ``AVF_SEED`` overrides the seed.  See the README for the key table.
 """
 
 import math
@@ -11,6 +12,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .classifier import DEFAULT_CLASS_WEIGHTS
+from .enhance import DEFAULT_ROTATIONS, DEFAULT_SCALES
 from .errors import InvalidConfig
 
 INTRA_FUSIONS = ("self", "relation", "transformer")
@@ -19,7 +21,7 @@ ENHANCEMENTS = ("none", "mean", "meanstd", "normfft", "ar_mean")
 DATA_MODES = ("clustered", "interaction")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int = 12345
     audio_dim: int = 8
@@ -42,11 +44,46 @@ class ExperimentConfig:
     data_mode: str = "clustered"
     samples: int = 350
     noise: float = 0.1
-    tta_rotations: tuple = (-2.0, 0.0, 2.0)
-    tta_scales: tuple = (1.0, 1.03, 1.07)
+    tta_rotations: tuple = DEFAULT_ROTATIONS
+    tta_scales: tuple = DEFAULT_SCALES
     patch_grid_h: int = 4
     patch_grid_w: int = 4
     patch_channels: int = 8
+
+    def __post_init__(self):
+        for name, options in (("audio_fusion", INTRA_FUSIONS), ("visual_fusion", INTRA_FUSIONS),
+                              ("cross_mode", CROSS_FUSIONS), ("enhance_mode", ENHANCEMENTS),
+                              ("data_mode", DATA_MODES)):
+            if getattr(self, name) not in options:
+                raise InvalidConfig(f"{name}: {getattr(self, name)!r} is not one of {options}")
+        for name in ("audio_dim", "audio_frames", "visual_dim", "visual_frames", "fbp_k", "fbp_o",
+                     "attn_hidden", "classes", "samples", "patch_grid_h", "patch_grid_w",
+                     "patch_channels"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1")
+        if self.epochs < 0:
+            raise InvalidConfig("epochs must be >= 0")
+        if self.batch_size < 0:
+            raise InvalidConfig("classifier.batch must be >= 0 (0 = full batch)")
+        if self.lr < 0:
+            raise InvalidConfig("lr must be >= 0")
+        if not (0.0 <= self.fbp_dropout < 1.0):
+            raise InvalidConfig("fbp.dropout must lie in [0, 1)")
+        if self.noise < 0:
+            raise InvalidConfig("data.noise must be >= 0")
+        if self.data_mode == "interaction" and self.classes != 2:
+            raise InvalidConfig("interaction data is binary; set classifier.classes=2")
+        if self.samples < self.classes:
+            raise InvalidConfig("need at least one sample per class")
+        if self.class_weights:
+            if len(self.class_weights) != self.classes:
+                raise InvalidConfig(f"class_weights has {len(self.class_weights)} entries "
+                                    f"for {self.classes} classes")
+            # NaN fails both comparisons
+            if not all(0.0 < w < math.inf for w in self.class_weights):
+                raise InvalidConfig("class_weights must be finite and strictly positive")
+        if not self.tta_rotations or not self.tta_scales:
+            raise InvalidConfig("tta.rotations and tta.scales must be non-empty")
 
 
 def _parse_int(v):
@@ -77,35 +114,27 @@ def _parse_float_list(v):
         raise InvalidConfig(f"expected comma-separated finite numbers, got {v!r}") from None
 
 
-def _parse_enum(options):
-    def parse(v):
-        if v not in options:
-            raise InvalidConfig(f"{v!r} is not one of {options}")
-        return v
-    return parse
-
-
 # config key -> (attribute, parser)
 _KEYS = {
     "seed": ("seed", _parse_int),
     "audio.dim": ("audio_dim", _parse_int),
     "audio.frames": ("audio_frames", _parse_int),
-    "audio.fusion": ("audio_fusion", _parse_enum(INTRA_FUSIONS)),
+    "audio.fusion": ("audio_fusion", str),
     "visual.dim": ("visual_dim", _parse_int),
     "visual.frames": ("visual_frames", _parse_int),
-    "visual.fusion": ("visual_fusion", _parse_enum(INTRA_FUSIONS)),
-    "cross.mode": ("cross_mode", _parse_enum(CROSS_FUSIONS)),
+    "visual.fusion": ("visual_fusion", str),
+    "cross.mode": ("cross_mode", str),
     "fbp.k": ("fbp_k", _parse_int),
     "fbp.o": ("fbp_o", _parse_int),
     "fbp.dropout": ("fbp_dropout", _parse_float),
-    "enhance.mode": ("enhance_mode", _parse_enum(ENHANCEMENTS)),
+    "enhance.mode": ("enhance_mode", str),
     "attn.hidden": ("attn_hidden", _parse_int),
     "classifier.classes": ("classes", _parse_int),
     "classifier.lr": ("lr", _parse_float),
     "classifier.epochs": ("epochs", _parse_int),
     "classifier.batch": ("batch_size", _parse_int),
     "class_weights": ("class_weights", _parse_float_list),
-    "data.mode": ("data_mode", _parse_enum(DATA_MODES)),
+    "data.mode": ("data_mode", str),
     "data.samples": ("samples", _parse_int),
     "data.noise": ("noise", _parse_float),
     "tta.rotations": ("tta_rotations", _parse_float_list),
@@ -117,8 +146,7 @@ _KEYS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    seen = set()
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,44 +156,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise InvalidConfig(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
         attr, parser = _KEYS[key]
-        cfg = replace(cfg, **{attr: parser(value)})
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    positive = ["audio_dim", "audio_frames", "visual_dim", "visual_frames",
-                "fbp_k", "fbp_o", "attn_hidden", "classes", "samples",
-                "patch_grid_h", "patch_grid_w", "patch_channels"]
-    for name in positive:
-        if getattr(cfg, name) < 1:
-            raise InvalidConfig(f"{name} must be >= 1")
-    if cfg.epochs < 0:
-        raise InvalidConfig("epochs must be >= 0")
-    if cfg.batch_size < 0:
-        raise InvalidConfig("classifier.batch must be >= 0 (0 = full batch)")
-    if cfg.lr < 0:
-        raise InvalidConfig("lr must be >= 0")
-    if not (0.0 <= cfg.fbp_dropout < 1.0):
-        raise InvalidConfig("fbp.dropout must lie in [0, 1)")
-    if cfg.noise < 0:
-        raise InvalidConfig("data.noise must be >= 0")
-    if cfg.data_mode == "interaction" and cfg.classes != 2:
-        raise InvalidConfig("interaction data is binary; set classifier.classes=2")
-    if cfg.samples < cfg.classes:
-        raise InvalidConfig("need at least one sample per class")
-    if cfg.class_weights:
-        if len(cfg.class_weights) != cfg.classes:
-            raise InvalidConfig(
-                f"class_weights has {len(cfg.class_weights)} entries for {cfg.classes} classes")
-        if any(w <= 0 for w in cfg.class_weights):
-            raise InvalidConfig("class_weights must be strictly positive")
-    if not cfg.tta_rotations or not cfg.tta_scales:
-        raise InvalidConfig("tta.rotations and tta.scales must be non-empty")
+        if attr in values:
+            raise InvalidConfig(f"line {lineno}: duplicate key {key!r}")
+        values[attr] = parser(value)
+    return ExperimentConfig(**values)
 
 
 def resolved_class_weights(cfg: ExperimentConfig) -> tuple:

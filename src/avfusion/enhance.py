@@ -25,8 +25,7 @@ class TtaTransform:
     flipped: bool
 
 
-def enumerate_tta(rotations=DEFAULT_ROTATIONS, scales=DEFAULT_SCALES,
-                  flip: bool = True) -> list[TtaTransform]:
+def enumerate_tta(rotations=DEFAULT_ROTATIONS, scales=DEFAULT_SCALES) -> list[TtaTransform]:
     """Cartesian product of transforms, rotation-major, then scale, then flip.
 
     The defaults produce the standard 3 rotations x 3 scales x 2 flips = 18
@@ -34,9 +33,8 @@ def enumerate_tta(rotations=DEFAULT_ROTATIONS, scales=DEFAULT_SCALES,
     """
     if not rotations or not scales:
         raise ValueError("rotations and scales must be non-empty")
-    flips = (False, True) if flip else (False,)
     return [TtaTransform(r, s, f)
-            for r, s, f in itertools.product(rotations, scales, flips)]
+            for r, s, f in itertools.product(rotations, scales, (False, True))]
 
 
 def mean_rows(bags: np.ndarray) -> np.ndarray:

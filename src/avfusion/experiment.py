@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, fbp
-from .classifier import ClassScores, ClassWeights, SoftmaxParams, apply_class_weights, class_probs
+from .classifier import SoftmaxParams, apply_class_weights, class_probs
 from .config import ExperimentConfig, config_summary, resolved_class_weights
 from .errors import DimMismatch, EmptyDataset, NumericalDivergence
 from .featfile import save_checkpoint
@@ -111,15 +111,13 @@ def _prefixed(**by_stage) -> dict:
 
 
 def _stack_sets(sets, name: str) -> np.ndarray:
-    """Equal-size (n, d) feature sets stacked into one finite (B, n, d) array."""
+    """Equal-size feature sets stacked into one finite array; its shape is
+    ``check_rows``'s to check."""
     try:
         stacked = np.array(sets, dtype=np.float64)
     except ValueError:  # ragged: numpy cannot stack them
         raise DimMismatch(f"{name} feature sets differ in size; every set must be "
                           f"{np.shape(sets[0])}") from None
-    if stacked.ndim != 3 or 0 in stacked.shape[1:]:
-        raise DimMismatch(f"{name} feature sets must be n >= 1 vectors of dim >= 1, "
-                          f"got a stack of shape {stacked.shape}")
     return check_finite(stacked, f"{name} features")
 
 
@@ -140,7 +138,7 @@ class FusionPipeline:
         self.cross = (fbp.FBPParams.init(m, n, cfg.fbp_k, cfg.fbp_o, cfg.fbp_dropout, rng)
                       if cfg.cross_mode == "fbp" else Concat(m, n))
         self.clf = SoftmaxParams.init(cfg.classes, self.cross.out_dim, rng)
-        self.class_weights = ClassWeights(np.array(resolved_class_weights(cfg)))
+        self.class_weights = np.array(resolved_class_weights(cfg))  # (C,)
         # scoring's block buffers, kept across predict_rows calls; the lock
         # marks them taken, and a call that finds them taken makes its own
         self._score_scratch, self._scoring = Scratch(), threading.Lock()
@@ -168,16 +166,25 @@ class FusionPipeline:
     # --- input validation ---------------------------------------------------
     def check_rows(self, audio, visual, labels=None):
         """(B, n, d) audio and visual arrays and (B,) int labels, checked
-        against the model: each set must hold n >= 1 vectors of its stage's
-        dim, and labels must lie in 0..classes-1, or DimMismatch is raised."""
+        against the model, or DimMismatch is raised: both stacks are 3-D with
+        one B, each set holds n >= 1 vectors of its stage's dim, and the
+        labels are B integers in 0..classes-1."""
         for name, rows, stage in (("audio", audio, self.audio), ("visual", visual, self.visual)):
+            if rows.ndim != 3:
+                raise DimMismatch(f"{name} features must be a (B, n, d) stack, got {rows.shape}")
             if rows.shape[1] < 1:
                 raise DimMismatch(f"{name} feature sets need n >= 1 vectors, got {rows.shape}")
             if rows.shape[2] != stage.in_dim:
                 raise DimMismatch(f"{name} features have dim {rows.shape[2]}, "
                                   f"the model expects {stage.in_dim}")
+        if len(visual) != len(audio):
+            raise DimMismatch(f"{len(audio)} audio sets but {len(visual)} visual sets")
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            raw = np.asarray(labels)
+            if raw.shape != (len(audio),) or raw.dtype.kind not in "iu":
+                raise DimMismatch(f"labels must be {len(audio)} integers, "
+                                  f"got {raw.dtype} of shape {raw.shape}")
+            labels = raw.astype(np.int64, copy=False)
             if np.any((labels < 0) | (labels >= self.clf.classes)):
                 raise DimMismatch(f"labels must lie in 0..{self.clf.classes - 1}")
         return audio, visual, labels
@@ -266,7 +273,7 @@ class FusionPipeline:
             finally:
                 if owned:
                     self._scoring.release()
-            return apply_class_weights(ClassScores(probs), self.class_weights)[1]
+            return apply_class_weights(check_finite(probs, "class scores"), self.class_weights)
 
 
 def descend(tensors: dict, n: int, step, epochs: int, lr: float, rng: Rng | None,

@@ -81,10 +81,7 @@ def sigmoid(x):
     """
     arr = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

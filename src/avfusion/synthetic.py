@@ -14,9 +14,12 @@ feature spawns a bag of per-transform variants (conditioned deterministically
 on the rotation/scale/flip descriptors) which the configured aggregator
 collapses.  The identity transform reproduces the base feature exactly.
 
-A dataset is three read-only arrays, filled block by block and checked
-finite once, when generated: audio (N, n_a, d_a), visual (N, n_v, d_v) and
-int64 labels (N,).  ``samples`` indexes per-sample (n, d) views on access.
+The generators trust their ``ExperimentConfig``, which checks its own rules
+(known modes, at least one sample per class, two classes for interaction
+data).  A dataset is three read-only arrays, filled block by block and
+checked finite once, when generated: audio (N, n_a, d_a), visual
+(N, n_v, d_v) and int64 labels (N,).  ``samples`` indexes per-sample (n, d)
+views on access.
 """
 
 from collections.abc import Sequence
@@ -26,7 +29,6 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .enhance import ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows, normfft_rows
-from .errors import InvalidConfig
 from .numeric import BLOCK_FLOATS, check_finite
 from .rng import Rng
 
@@ -64,12 +66,9 @@ class _Samples(Sequence):
 
 
 def enhanced_dim(base_dim: int, mode: str) -> int:
-    """Feature dimension after the configured enhancement."""
-    if mode in ("none", "mean"):
-        return base_dim
-    if mode in ("meanstd", "normfft", "ar_mean"):
-        return 2 * base_dim
-    raise InvalidConfig(f"unknown enhancement mode {mode!r}")
+    """Feature dimension after the enhancement ``mode``, one of the config's
+    ``ENHANCEMENTS``: "none" and "mean" keep it, the others double it."""
+    return base_dim if mode in ("none", "mean") else 2 * base_dim
 
 
 class _TtaConditioner:
@@ -102,7 +101,7 @@ def _make_enhancer(cfg: ExperimentConfig, rng: Rng):
         return (lambda x: x), dim
     if cfg.enhance_mode == "normfft":
         return normfft_rows, 2 * dim
-    transforms = enumerate_tta(cfg.tta_rotations, cfg.tta_scales, flip=True)
+    transforms = enumerate_tta(cfg.tta_rotations, cfg.tta_scales)
     cond = _TtaConditioner(dim, transforms, rng)
     floats = len(transforms) * dim
     if cfg.enhance_mode == "mean":
@@ -150,14 +149,10 @@ def gen_synthetic(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     """
     if cfg.data_mode == "clustered":
         return _gen_clustered(cfg, rng)
-    if cfg.data_mode == "interaction":
-        return _gen_interaction(cfg, rng)
-    raise InvalidConfig(f"unknown data mode {cfg.data_mode!r}")
+    return _gen_interaction(cfg, rng)
 
 
 def _gen_clustered(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
-    if cfg.samples < cfg.classes:
-        raise InvalidConfig("need at least one sample per class")
     protos_a = rng.normal_mat(cfg.classes, cfg.audio_dim)
     protos_v = rng.normal_mat(cfg.classes, cfg.visual_dim)
     enhance, frame_floats = _make_enhancer(cfg, rng)
@@ -172,8 +167,6 @@ def _gen_clustered(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
 
 
 def _gen_interaction(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
-    if cfg.classes != 2:
-        raise InvalidConfig("interaction data is binary; set classifier.classes=2")
     p = rng.normal_vec(cfg.audio_dim)
     p /= np.linalg.norm(p)
     q = rng.normal_vec(cfg.visual_dim)
@@ -181,10 +174,9 @@ def _gen_interaction(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     enhance, frame_floats = _make_enhancer(cfg, rng)
     nz = cfg.audio_frames * cfg.audio_dim + cfg.visual_frames * cfg.visual_dim
     # the first two samples are pinned to one label each, so both classes are
-    # always present, and draw no signs
-    pinned = min(2, cfg.samples)
+    # always present, and draw no signs; the config has samples >= classes = 2
     audio, visual, labels = _empty(cfg)
-    for signs, start, stop in ((0, 0, pinned), (2, pinned, cfg.samples)):
+    for signs, start, stop in ((0, 0, 2), (2, 2, cfg.samples)):
         for lo, hi in _blocks(start, stop, cfg, signs + 2 + 2 * nz, frame_floats):
             # per sample: sign uniforms, two magnitude uniforms, noise normals
             draws = rng.draws(np.tile([False] * (signs + 2) + [True] * nz, hi - lo))

