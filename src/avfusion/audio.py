@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ClipTooShort, CorruptHeader, DimMismatch, GridTooFineForInput,
                      UnsupportedFormat)
-from .numeric import BLOCK_FLOATS, check_finite
+from .numeric import check_finite, row_blocks
 from .rng import Rng
 
 SUPPORTED_RATES = (8000, 16000, 44100, 48000)
@@ -151,9 +151,9 @@ def _spectrum(frames: np.ndarray) -> np.ndarray:
 
 def _walk_spectra(clip: AudioClip, window_ms: float, hop_ms: float, width: int,
                   reduce) -> np.ndarray:
-    """(frames, width) rows: ``reduce`` of the _spectrum of each block of
-    BLOCK_FLOATS // FFT_SIZE Hamming-windowed frames, cut from a strided view of
-    the samples, so no whole-clip frame or spectrum array exists.  win and hop
+    """(frames, width) rows: ``reduce`` of the _spectrum of each ``row_blocks``
+    block of Hamming-windowed frames (FFT_SIZE values a row), cut from a strided
+    view of the samples, so no whole-clip frame or spectrum array exists.  win and hop
     are window_ms and hop_ms in samples; there are floor((N - win)/hop) + 1
     frames, trailing samples that do not fill a window are dropped."""
     win, hop = _frame_lengths(clip, window_ms, hop_ms)
@@ -163,9 +163,8 @@ def _walk_spectra(clip: AudioClip, window_ms: float, hop_ms: float, width: int,
     frames = sliding_window_view(clip.samples, win)[::hop]
     window = hamming_periodic(win)
     out = np.empty((len(frames), width))
-    step = BLOCK_FLOATS // FFT_SIZE
-    for r0 in range(0, len(frames), step):
-        out[r0:r0 + step] = reduce(_spectrum(frames[r0:r0 + step] * window))
+    for rows in row_blocks(0, len(frames), FFT_SIZE):
+        out[rows] = reduce(_spectrum(frames[rows] * window))
     return out
 
 

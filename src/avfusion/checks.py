@@ -18,7 +18,6 @@ from .gradcheck import grad_check
 from .rng import Rng
 
 GRAD_TOL = 1e-4
-MODULES = ("self", "relation", "transformer", "fbp", "classifier", "patch")
 
 
 def _sizes(rng: Rng):
@@ -51,11 +50,10 @@ def check_attention(kind: str, seed: int) -> float:
     return grad_check(loss, params)
 
 
-def check_fbp(seed: int, with_dropout: bool | None = None) -> float:
-    """FBP gradients; odd seeds run with a frozen dropout mask by default."""
+def check_fbp(seed: int) -> float:
+    """FBP gradients; odd seeds run with a frozen dropout mask."""
     rng = Rng(seed)
-    if with_dropout is None:
-        with_dropout = bool(seed % 2)
+    with_dropout = bool(seed % 2)
     m, n = rng.randint(7) + 2, rng.randint(7) + 2
     k, o = rng.randint(4) + 1, rng.randint(3) + 1
     dropout_p = 0.3 if with_dropout else 0.0
@@ -134,6 +132,7 @@ _CHECKERS = {
     "classifier": check_classifier,
     "patch": check_patch_embed,
 }
+MODULES = tuple(_CHECKERS)
 
 
 def run_module_checks(module: str = "all", instances: int = 10) -> dict:

@@ -1,9 +1,10 @@
 """Experiment configuration: key=value files with dotted keys.
 
 Format: UTF-8 lines, ``#`` starts a comment, blank lines ignored, one
-``key=value`` pair per line.  The parser rejects unknown and duplicate keys;
-every other rule is checked by ``ExperimentConfig``, a frozen dataclass, each
-time one is built (directly, by ``dataclasses.replace`` or from a file).  The
+``key=value`` pair per line.  The parser rejects unknown and duplicate keys
+and values that do not cast; every other rule, finiteness included, is
+checked by ``ExperimentConfig``, a frozen dataclass, each time one is built
+(directly, by ``dataclasses.replace`` or from a file).  The
 env var ``AVF_SEED`` overrides the seed.  See the README for the key table.
 """
 
@@ -11,11 +12,12 @@ import math
 import os
 from dataclasses import dataclass, replace
 
+from .attention import POOLS
 from .classifier import DEFAULT_CLASS_WEIGHTS
 from .enhance import DEFAULT_ROTATIONS, DEFAULT_SCALES
 from .errors import InvalidConfig
 
-INTRA_FUSIONS = ("self", "relation", "transformer")
+INTRA_FUSIONS = tuple(POOLS)
 CROSS_FUSIONS = ("fbp", "concat")
 ENHANCEMENTS = ("none", "mean", "meanstd", "normfft", "ar_mean")
 DATA_MODES = ("clustered", "interaction")
@@ -65,12 +67,13 @@ class ExperimentConfig:
             raise InvalidConfig("epochs must be >= 0")
         if self.batch_size < 0:
             raise InvalidConfig("classifier.batch must be >= 0 (0 = full batch)")
-        if self.lr < 0:
-            raise InvalidConfig("lr must be >= 0")
-        if not (0.0 <= self.fbp_dropout < 1.0):
-            raise InvalidConfig("fbp.dropout must lie in [0, 1)")
-        if self.noise < 0:
-            raise InvalidConfig("data.noise must be >= 0")
+        # each range test below is False for NaN
+        if not 0.0 <= self.lr < math.inf:
+            raise InvalidConfig("lr must be >= 0 and finite")
+        if not 0.0 <= self.fbp_dropout < 1.0:
+            raise InvalidConfig("fbp.dropout must lie in [0, 1) and be finite")
+        if not 0.0 <= self.noise < math.inf:
+            raise InvalidConfig("data.noise must be >= 0 and finite")
         if self.data_mode == "interaction" and self.classes != 2:
             raise InvalidConfig("interaction data is binary; set classifier.classes=2")
         if self.samples < self.classes:
@@ -79,39 +82,28 @@ class ExperimentConfig:
             if len(self.class_weights) != self.classes:
                 raise InvalidConfig(f"class_weights has {len(self.class_weights)} entries "
                                     f"for {self.classes} classes")
-            # NaN fails both comparisons
             if not all(0.0 < w < math.inf for w in self.class_weights):
                 raise InvalidConfig("class_weights must be finite and strictly positive")
-        if not self.tta_rotations or not self.tta_scales:
-            raise InvalidConfig("tta.rotations and tta.scales must be non-empty")
+        if not (self.tta_rotations and self.tta_scales
+                and all(map(math.isfinite, (*self.tta_rotations, *self.tta_scales)))):
+            raise InvalidConfig("tta.rotations and tta.scales must be non-empty and finite")
 
 
-def _parse_int(v):
-    try:
-        return int(v)
-    except ValueError:
-        raise InvalidConfig(f"expected an integer, got {v!r}") from None
+def _parser(cast, what: str):
+    """A value parser: ``cast(text)``, with its ValueError as InvalidConfig."""
+    def parse(text: str):
+        try:
+            return cast(text)
+        except ValueError:
+            raise InvalidConfig(f"expected {what}, got {text!r}") from None
+    return parse
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
-
-
-def _parse_float(v):
-    try:
-        return _finite(v)
-    except ValueError:
-        raise InvalidConfig(f"expected a finite number, got {v!r}") from None
-
-
-def _parse_float_list(v):
-    try:
-        return tuple(_finite(part) for part in v.split(",") if part.strip() != "")
-    except ValueError:
-        raise InvalidConfig(f"expected comma-separated finite numbers, got {v!r}") from None
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_float_list = _parser(
+    lambda text: tuple(float(part) for part in text.split(",") if part.strip() != ""),
+    "comma-separated numbers")
 
 
 # config key -> (attribute, parser)

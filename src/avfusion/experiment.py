@@ -26,9 +26,9 @@ import numpy as np
 from . import attention, fbp
 from .classifier import SoftmaxParams, apply_class_weights, class_probs
 from .config import ExperimentConfig, config_summary, resolved_class_weights
-from .errors import DimMismatch, EmptyDataset, NumericalDivergence
+from .errors import DimMismatch, EmptyDataset, InvalidConfig, NumericalDivergence
 from .featfile import save_checkpoint
-from .numeric import BLOCK_FLOATS, Scratch, check_finite, check_set
+from .numeric import Scratch, check_finite, check_set, row_blocks
 from .rng import Rng
 from .synthetic import SyntheticDataset, enhanced_dim, gen_synthetic
 
@@ -59,7 +59,7 @@ class IntraStage:
 
     def __init__(self, kind: str, in_dim: int, hidden: int, rng: Rng):
         if kind not in attention.POOLS:
-            raise ValueError(f"unknown intra fusion kind {kind!r}")
+            raise InvalidConfig(f"unknown intra fusion kind {kind!r}")
         self.in_dim = in_dim
         init, self._pool, self._backward, out_dim = attention.POOLS[kind]
         self.params = init(in_dim, hidden, rng)
@@ -189,12 +189,11 @@ class FusionPipeline:
                 raise DimMismatch(f"labels must lie in 0..{self.clf.classes - 1}")
         return audio, visual, labels
 
-    def block_rows(self, audio: np.ndarray, visual: np.ndarray) -> int:
-        """Rows per block: one row's share of every stage's widest intermediate,
-        summed, times the rows is at most BLOCK_FLOATS (51 rows by default)."""
-        row_floats = (audio.shape[1] * self.audio.frame_floats
-                      + visual.shape[1] * self.visual.frame_floats + self.cross.width)
-        return max(1, BLOCK_FLOATS // row_floats)
+    def blocks(self, audio: np.ndarray, visual: np.ndarray) -> list:
+        """``row_blocks`` of the stacked rows; a row's floats are its share of
+        every stage's widest intermediate, summed (51 rows a block by default)."""
+        return row_blocks(0, len(audio), audio.shape[1] * self.audio.frame_floats
+                          + visual.shape[1] * self.visual.frame_floats + self.cross.width)
 
     # --- forward / backward on stacked rows ---------------------------------
     def fuse_rows(self, audio, visual, mask_scale=None, scratch: Scratch | None = None):
@@ -235,12 +234,11 @@ class FusionPipeline:
         and the result up to summation order, do not depend on the blocks.
         A ``scratch`` lends every block the same FBP buffers.
         """
-        step = self.block_rows(audio, visual)
         total, acc = 0.0, None
-        for r0 in range(0, len(labels), step):
-            r1 = min(r0 + step, len(labels))
-            mask = None if key is None else self.cross.dropout_mask(key, r0, r1, scratch)
-            loss, backward = self.batch_loss(audio[r0:r1], visual[r0:r1], labels[r0:r1], mask,
+        for rows in self.blocks(audio, visual):
+            mask = (None if key is None
+                    else self.cross.dropout_mask(key, rows.start, rows.stop, scratch))
+            loss, backward = self.batch_loss(audio[rows], visual[rows], labels[rows], mask,
                                              scratch)
             total += loss
             if acc is None:
@@ -260,16 +258,14 @@ class FusionPipeline:
         once.  As in training, numpy's overflow warnings are silenced;
         non-finite scores raise NonFiniteValue.
         """
-        step = self.block_rows(audio, visual)
         probs = np.empty((len(audio), self.clf.classes))
         owned = self._scoring.acquire(blocking=False)
         scratch = self._score_scratch if owned else Scratch()
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for r0 in range(0, len(audio), step):
-                    fused, _ = self.fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step],
-                                              scratch=scratch)
-                    probs[r0:r0 + step] = class_probs(fused, self.clf.weight, self.clf.bias)
+                for rows in self.blocks(audio, visual):
+                    fused, _ = self.fuse_rows(audio[rows], visual[rows], scratch=scratch)
+                    probs[rows] = class_probs(fused, self.clf.weight, self.clf.bias)
             finally:
                 if owned:
                     self._scoring.release()
@@ -388,8 +384,13 @@ def evaluate_pipeline(model: FusionPipeline, dataset: SyntheticDataset, indices)
 
 
 def dataset_rows(model: FusionPipeline, dataset: SyntheticDataset, indices):
-    """The dataset's (audio, visual, labels) rows at ``indices``, through ``check_rows``."""
-    idx = np.asarray(indices, dtype=np.intp)
+    """The dataset's (audio, visual, labels) rows at ``indices``, through
+    ``check_rows``: read-only views for an in-bounds ``range`` of step 1, else copies."""
+    if (isinstance(indices, range) and indices.step == 1
+            and 0 <= indices.start <= indices.stop <= len(dataset.labels)):
+        idx = slice(indices.start, indices.stop)
+    else:
+        idx = np.asarray(indices, dtype=np.intp)
     return model.check_rows(dataset.audio[idx], dataset.visual[idx], dataset.labels[idx])
 
 

@@ -15,11 +15,19 @@ import numpy as np
 
 from .errors import DimMismatch, NonFiniteValue
 
-# Batched code walks its rows in blocks whose widest temporaries hold at most
-# this many float64 values (128 KiB), so peak memory does not grow with the
-# batch, or with the clip in the audio front end (16 frames of 1024 points).
-# Training and scoring reuse FBP's block buffers through a ``Scratch``.
+# Batched code walks its rows in ``row_blocks``, whose widest temporaries hold
+# at most this many float64 values (128 KiB), so peak memory does not grow
+# with the batch, or with the clip in the audio front end (16 frames of 1024
+# points).  Training and scoring reuse FBP's block buffers through a ``Scratch``.
 BLOCK_FLOATS = 1 << 14
+
+
+def row_blocks(start: int, stop: int, row_floats: int) -> list:
+    """Slices that cover rows start..stop-1 in order, each of at most
+    max(1, BLOCK_FLOATS // row_floats) rows, for rows whose widest
+    temporaries hold ``row_floats`` values each."""
+    step = max(1, BLOCK_FLOATS // row_floats)
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 
 
 class Scratch:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .enhance import ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows, normfft_rows
-from .numeric import BLOCK_FLOATS, check_finite
+from .numeric import check_finite, row_blocks
 from .rng import Rng
 
 
@@ -113,14 +113,6 @@ def _make_enhancer(cfg: ExperimentConfig, rng: Rng):
     return (lambda x: ar_mean_rows(mean_rows(cond.bags(x)), mean_rows(cond_r.bags(x)))), floats
 
 
-def _blocks(start: int, stop: int, cfg: ExperimentConfig, draws: int, frame_floats: int):
-    """Sample ranges [lo, hi) of at most BLOCK_FLOATS values of the widest
-    per-sample temporary: the ``draws`` raw outputs, or the enhancer's."""
-    rows = max(1, BLOCK_FLOATS // max(draws, cfg.visual_frames * frame_floats))
-    for lo in range(start, stop, rows):
-        yield lo, min(lo + rows, stop)
-
-
 def _empty(cfg: ExperimentConfig):
     """Unfilled (audio, visual, labels) arrays of cfg.samples rows."""
     visual_dim = enhanced_dim(cfg.visual_dim, cfg.enhance_mode)
@@ -158,11 +150,11 @@ def _gen_clustered(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     enhance, frame_floats = _make_enhancer(cfg, rng)
     nz = cfg.audio_frames * cfg.audio_dim + cfg.visual_frames * cfg.visual_dim
     audio, visual, labels = _empty(cfg)
-    for lo, hi in _blocks(0, cfg.samples, cfg, 2 * nz, frame_floats):
-        labels[lo:hi] = np.arange(lo, hi) % cfg.classes
-        audio[lo:hi], visual[lo:hi] = _block_samples(
-            cfg, enhance, protos_a[labels[lo:hi]], protos_v[labels[lo:hi]],
-            rng.normal_mat(hi - lo, nz))
+    for rows in row_blocks(0, cfg.samples, max(2 * nz, cfg.visual_frames * frame_floats)):
+        labels[rows] = np.arange(rows.start, rows.stop) % cfg.classes
+        audio[rows], visual[rows] = _block_samples(
+            cfg, enhance, protos_a[labels[rows]], protos_v[labels[rows]],
+            rng.normal_mat(rows.stop - rows.start, nz))
     return SyntheticDataset(audio, visual, labels, cfg.classes)
 
 
@@ -177,7 +169,9 @@ def _gen_interaction(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
     # always present, and draw no signs; the config has samples >= classes = 2
     audio, visual, labels = _empty(cfg)
     for signs, start, stop in ((0, 0, 2), (2, 2, cfg.samples)):
-        for lo, hi in _blocks(start, stop, cfg, signs + 2 + 2 * nz, frame_floats):
+        row_floats = max(signs + 2 + 2 * nz, cfg.visual_frames * frame_floats)
+        for rows in row_blocks(start, stop, row_floats):
+            lo, hi = rows.start, rows.stop
             # per sample: sign uniforms, two magnitude uniforms, noise normals
             draws = rng.draws(np.tile([False] * (signs + 2) + [True] * nz, hi - lo))
             draws = draws.reshape(hi - lo, signs + 2 + nz)
@@ -188,8 +182,8 @@ def _gen_interaction(cfg: ExperimentConfig, rng: Rng) -> SyntheticDataset:
                 sign_a, sign_v = np.ones(hi - lo), np.where(np.arange(lo, hi) == 0, 1.0, -1.0)
             mag_a = 0.5 + (1.5 - 0.5) * draws[:, signs]
             mag_v = 0.5 + (1.5 - 0.5) * draws[:, signs + 1]
-            labels[lo:hi] = np.where(sign_a * sign_v > 0, 1, 0)
-            audio[lo:hi], visual[lo:hi] = _block_samples(
+            labels[rows] = np.where(sign_a * sign_v > 0, 1, 0)
+            audio[rows], visual[rows] = _block_samples(
                 cfg, enhance, (sign_a * mag_a)[:, None] * p, (sign_v * mag_v)[:, None] * q,
                 draws[:, signs + 2:])
     return SyntheticDataset(audio, visual, labels, 2)

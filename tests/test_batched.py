@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avfusion import experiment, fbp
+from avfusion import experiment, fbp, numeric
 from avfusion.checks import GRAD_TOL
 from avfusion.config import ExperimentConfig
 from avfusion.classifier import apply_class_weights, class_probs
@@ -49,13 +49,13 @@ def _max_rel(a, b) -> float:
 
 
 @pytest.mark.parametrize("overrides", CONFIGS)
-@pytest.mark.parametrize("block_floats", [experiment.BLOCK_FLOATS, 40])
+@pytest.mark.parametrize("block_floats", [numeric.BLOCK_FLOATS, 40])
 def test_batched_update_equals_sum_of_single_samples(overrides, block_floats, monkeypatch):
-    monkeypatch.setattr(experiment, "BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(numeric, "BLOCK_FLOATS", block_floats)
     model, (audio, visual, labels) = _rows_of_update(overrides)
     key = KEY if model.cross.dropout_p > 0.0 else None
     if block_floats == 40:
-        assert model.block_rows(audio, visual) < len(labels)  # several blocks
+        assert len(model.blocks(audio, visual)) > 1
     loss, grads = model.update_loss(audio, visual, labels, key)
 
     mask = None if key is None else model.cross.dropout_mask(KEY, 0, len(labels))
@@ -144,8 +144,8 @@ def test_block_size_changes_nothing_but_summation_order(monkeypatch):
     dataset, train_idx, _, rngs = prepare_dataset(cfg)
     samples = [dataset.samples[i] for i in train_idx]
     curves, weights = [], []
-    for block_floats in (experiment.BLOCK_FLOATS, 40):
-        monkeypatch.setattr(experiment, "BLOCK_FLOATS", block_floats)
+    for block_floats in (numeric.BLOCK_FLOATS, 40):
+        monkeypatch.setattr(numeric, "BLOCK_FLOATS", block_floats)
         model = FusionPipeline(cfg, Rng(3))
         curves.append(train_pipeline(model, samples, cfg.epochs, 0.3, Rng(4), batch_size=5))
         weights.append(model.tensors()["fbp.u_tilde"].copy())
@@ -156,14 +156,14 @@ def test_block_size_changes_nothing_but_summation_order(monkeypatch):
 def test_scratch_reuse_leaks_nothing_between_blocks(monkeypatch):
     # blocks of 2 rows: mini-batches of 5, 5, 5 and 2 walk blocks of 2, 2, 1
     # and 2, so the buffers shrink and grow again
-    monkeypatch.setattr(experiment, "BLOCK_FLOATS", 40)
+    monkeypatch.setattr(numeric, "BLOCK_FLOATS", 40)
     cfg = small_cfg(audio_dim=3, audio_frames=2, fbp_o=4, epochs=3)
     dataset, train_idx, _, rngs = prepare_dataset(cfg)
     samples = [dataset.samples[i] for i in train_idx]
     model = FusionPipeline(cfg, Rng(3))
     audio, visual, labels = dataset_rows(model, dataset, train_idx)
     assert model.cross.dropout_p > 0.0 and len(labels) % 5 == 2
-    assert model.block_rows(audio, visual) == 2
+    assert model.blocks(audio, visual)[0] == slice(0, 2)
     curve = train_pipeline(model, samples, cfg.epochs, 0.3, Rng(4), batch_size=5)
 
     ref, rng = FusionPipeline(cfg, Rng(3)), Rng(4)
@@ -204,11 +204,10 @@ def test_training_does_not_fault_its_block_buffers_in_again():
 
 def _predict_per_block(model, audio, visual):
     """Scoring as it was: fresh buffers, and a check and reweighting, per block."""
-    step = model.block_rows(audio, visual)
     preds = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in range(0, len(audio), step):
-            fused, _ = model.fuse_rows(audio[r0:r0 + step], visual[r0:r0 + step])
+        for rows in model.blocks(audio, visual):
+            fused, _ = model.fuse_rows(audio[rows], visual[rows])
             scores = check_finite(class_probs(fused, model.clf.weight, model.clf.bias),
                                   "class scores")
             preds.append(apply_class_weights(scores, model.class_weights))
@@ -232,7 +231,7 @@ def test_scoring_matches_the_per_block_loop(overrides):
     for arr in model.tensors().values():  # transformer's u starts at 0
         arr += rng.normal_vec(arr.size, 0.0, 0.5).reshape(arr.shape)
     audio, visual, _ = dataset_rows(model, dataset, range(len(dataset.labels)))
-    assert model.block_rows(audio, visual) < len(audio)  # several blocks
+    assert len(model.blocks(audio, visual)) > 1
     preds = model.predict_rows(audio, visual)
     assert len(set(preds.tolist())) > 1
     assert preds.tobytes() == _predict_per_block(model, audio, visual).tobytes()
@@ -272,7 +271,7 @@ def test_scoring_does_not_fault_its_block_buffers_in_again():
 
 def test_scoring_while_the_models_scratch_is_held_makes_its_own(monkeypatch):
     # several blocks, so the buffers are reused within the call too
-    monkeypatch.setattr(experiment, "BLOCK_FLOATS", 40)
+    monkeypatch.setattr(numeric, "BLOCK_FLOATS", 40)
     model, (audio, visual, _) = _rows_of_update(CONFIGS[0], count=21)
     want = model.predict_rows(audio, visual)
     buffers = model._score_scratch._flat

@@ -266,7 +266,8 @@ class TestNonFiniteAndBadNames:
         assert rc == 1
         assert _single_error_line(capsys)
 
-    @pytest.mark.parametrize("line", ["class_weights=nan,1,1,1,1,1,1", "data.noise=inf"])
+    @pytest.mark.parametrize("line", ["class_weights=nan,1,1,1,1,1,1", "data.noise=inf",
+                                      "classifier.lr=nan", "tta.scales=1,inf"])
     def test_train_with_non_finite_config_value(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(CFG_SMALL + line + "\n")

@@ -150,6 +150,15 @@ BAD_CONFIGS = [
     ({"class_weights": (1.0,) * 6 + (math.inf,)}, "finite"),
     ({"tta_rotations": ()}, "must be non-empty"),
     ({"tta_scales": ()}, "must be non-empty"),
+    # non-finite numbers, which the parser casts without a check
+    ({"lr": math.inf}, "lr must be >= 0 and finite"),
+    ({"lr": math.nan}, "lr must be >= 0 and finite"),
+    ({"noise": math.inf}, "data.noise must be >= 0 and finite"),
+    ({"noise": math.nan}, "data.noise must be >= 0 and finite"),
+    ({"fbp_dropout": math.nan}, r"fbp.dropout must lie in \[0, 1\) and be finite"),
+    ({"tta_scales": (math.inf,)}, "must be non-empty and finite"),
+    ({"tta_rotations": (0.0, math.nan)}, "must be non-empty and finite"),
+    ({"tta_rotations": (-math.inf,)}, "must be non-empty and finite"),
 ]
 
 

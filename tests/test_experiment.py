@@ -5,8 +5,8 @@ import pytest
 
 from avfusion.checks import check_pipeline
 from avfusion.config import ExperimentConfig
-from avfusion.errors import DimMismatch, EmptyDataset, NonFiniteValue
-from avfusion.experiment import (FusionPipeline, IntraStage, compute_metrics,
+from avfusion.errors import DimMismatch, EmptyDataset, InvalidConfig, NonFiniteValue
+from avfusion.experiment import (FusionPipeline, IntraStage, compute_metrics, dataset_rows,
                                  evaluate_pipeline, experiment_rngs, prepare_dataset,
                                  run_experiment, split_indices, train_pipeline)
 from avfusion.featfile import load_checkpoint
@@ -92,6 +92,10 @@ def test_init_draws_are_pinned(kind, cross_mode):
 
 
 class TestIntraStage:
+    def test_an_unknown_kind_is_an_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="unknown intra fusion kind 'bogus'"):
+            IntraStage("bogus", 3, 3, Rng(1))
+
     @pytest.mark.parametrize("kind", ["self", "relation", "transformer"])
     def test_forward_rejects_the_wrong_feature_dim(self, kind):
         stage = IntraStage(kind, 4, 3, Rng(12))
@@ -269,6 +273,21 @@ class TestEvaluateOnArrays:
             assert np.array_equal(got.confusion, want.confusion)
             assert repr(got.accuracy) == repr(want.accuracy)
             assert got.per_class_recall.tobytes() == want.per_class_recall.tobytes()
+
+    def test_a_contiguous_range_takes_views_and_other_indices_copy(self):
+        cfg = small_cfg()
+        dataset, _, _, rngs = prepare_dataset(cfg)
+        model = FusionPipeline(cfg, rngs["init"])
+        views = dataset_rows(model, dataset, range(2, 9))
+        copies = dataset_rows(model, dataset, list(range(2, 9)))
+        for view, copy, whole in zip(views, copies, (dataset.audio, dataset.visual,
+                                                     dataset.labels)):
+            assert np.shares_memory(view, whole) and not view.flags.writeable
+            assert not np.shares_memory(copy, whole)
+            assert view.tobytes() == copy.tobytes()
+        # out of bounds still raises, as fancy indexing does
+        with pytest.raises(IndexError):
+            dataset_rows(model, dataset, range(len(dataset.labels) + 1))
 
     def test_no_indices_give_empty_metrics(self):
         cfg = small_cfg()

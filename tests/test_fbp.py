@@ -144,13 +144,14 @@ class TestDropout:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_gradcheck_dropout_off(self, seed):
-        assert check_fbp(seed, with_dropout=False) < 1e-4
+    # the seed's parity decides: even seeds run without dropout
+    @pytest.mark.parametrize("i", range(10))
+    def test_gradcheck_dropout_off(self, i):
+        assert check_fbp(2 * i) < 1e-4
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_gradcheck_frozen_mask(self, seed):
-        assert check_fbp(seed, with_dropout=True) < 1e-4
+    @pytest.mark.parametrize("i", range(10))
+    def test_gradcheck_frozen_mask(self, i):
+        assert check_fbp(2 * i + 1) < 1e-4
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = Rng(28)

@@ -55,6 +55,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not unused, f"public names that only the tests reference: {unused}"
 
 
+def test_only_numeric_names_the_block_size():
+    # one owner of the block rule: every other module walks numeric.row_blocks
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _referenced_names(tree) | {alias.name for node in ast.walk(tree)
+                                           if isinstance(node, ast.ImportFrom)
+                                           for alias in node.names}
+        if "BLOCK_FLOATS" in names and path.name != "numeric.py":
+            readers.append(path.name)
+    assert not readers, f"modules that name BLOCK_FLOATS: {readers}"
+
+
 TINY = {"seed": 5, "data.samples": 14, "classifier.epochs": 2, "audio.frames": 2,
         "visual.frames": 2, "fbp.o": 8}
 

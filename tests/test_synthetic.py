@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avfusion import synthetic
+from avfusion import numeric
 from avfusion.classifier import SoftmaxParams, class_probs
 from avfusion.config import ExperimentConfig
 from avfusion.enhance import (ar_mean_rows, enumerate_tta, mean_rows, meanstd_rows,
@@ -217,11 +217,11 @@ def assert_same_dataset(cfg):
     assert bulk_rng.next_u64() == loop_rng.next_u64()
 
 
-@pytest.mark.parametrize("block_floats", [synthetic.BLOCK_FLOATS, 700])
+@pytest.mark.parametrize("block_floats", [numeric.BLOCK_FLOATS, 700])
 @pytest.mark.parametrize("mode", ["none", "mean", "meanstd", "normfft", "ar_mean"])
 @pytest.mark.parametrize("data_mode", ["clustered", "interaction"])
 def test_bulk_generators_match_the_loop_oracle(data_mode, mode, block_floats, monkeypatch):
-    monkeypatch.setattr(synthetic, "BLOCK_FLOATS", block_floats)
+    monkeypatch.setattr(numeric, "BLOCK_FLOATS", block_floats)
     classes = 2 if data_mode == "interaction" else 3
     # odd dims and frame counts, 1-d frames, and sample counts that no block
     # size divides
