@@ -122,8 +122,16 @@ def check_pipeline(seed: int, cross_mode: str = "fbp",
     audio = rng.normal_mat(cfg.audio_frames, cfg.audio_dim)[None]
     visual = rng.normal_mat(cfg.visual_frames, cfg.visual_dim)[None]
     rows = model.check_rows(audio, visual, [rng.randint(cfg.classes)])
-    # perturbs the model's own arrays in place, which the forward reads
-    return grad_check(lambda _: model.batch_loss(*rows), model.tensors())
+    pooled = model.audio.pool(rows[0])[0], model.visual.pool(rows[1])[0], rows[2], None, None
+    tensors = model.tensors()
+    heads = {name: tensors.pop(name) for name in list(tensors) if name.startswith(("fbp.", "clf."))}
+
+    def head(_):
+        loss, backward = model.head_loss(*pooled)
+        return loss, lambda: backward()[0]
+
+    # both perturb the model's own arrays in place; no head tensor moves the pooled rows
+    return max(grad_check(lambda _: model.batch_loss(*rows), tensors), grad_check(head, heads))
 
 
 _CHECKERS = {

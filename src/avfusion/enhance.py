@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 DEFAULT_ROTATIONS = (-2.0, 0.0, 2.0)
 DEFAULT_SCALES = (1.0, 1.03, 1.07)
 
@@ -32,7 +34,7 @@ def enumerate_tta(rotations=DEFAULT_ROTATIONS, scales=DEFAULT_SCALES) -> list[Tt
     descriptors.
     """
     if not rotations or not scales:
-        raise ValueError("rotations and scales must be non-empty")
+        raise InvalidConfig("rotations and scales must be non-empty")
     return [TtaTransform(r, s, f)
             for r, s, f in itertools.product(rotations, scales, (False, True))]
 

@@ -197,31 +197,37 @@ class FusionPipeline:
 
     # --- forward / backward on stacked rows ---------------------------------
     def fuse_rows(self, audio, visual, mask_scale=None, scratch: Scratch | None = None):
-        """(B, fused) rows and the stage caches; no dropout when ``mask_scale`` is None.
-        FBP writes its wide arrays into ``scratch``'s buffers when given one."""
-        a_vec, a_cache = self.audio.pool(audio)
-        v_vec, v_cache = self.visual.pool(visual)
-        fused, x_cache = self.cross.fuse(a_vec, v_vec, mask_scale, scratch)
-        return fused, (a_cache, v_cache, x_cache)
+        """The pooled rows through the cross stage, ``fuse``: ((B, fused) rows, its cache)."""
+        return self.cross.fuse(self.audio.pool(audio)[0], self.visual.pool(visual)[0],
+                               mask_scale, scratch)
 
-    def batch_loss(self, audio, visual, labels, mask_scale=None,
-                   scratch: Scratch | None = None):
+    def batch_loss(self, audio, visual, labels, mask_scale=None, scratch: Scratch | None = None):
         """Summed loss over stacked rows, and a thunk for the hand-chained gradient dict.
 
         Call ``backward()`` before changing a parameter: the caches hold the
         arrays.  ``mask_scale`` is the (B, k*o) rescaled FBP dropout mask,
         None for no dropout.  With a ``scratch``, call ``backward()`` before
-        the scratch is used again.
+        the scratch is used again.  It is the two pools, then ``head_loss``.
         """
-        fused, (a_cache, v_cache, x_cache) = self.fuse_rows(audio, visual, mask_scale, scratch)
+        (a_vec, a_cache), (v_vec, v_cache) = self.audio.pool(audio), self.visual.pool(visual)
+        loss, head_backward = self.head_loss(a_vec, v_vec, labels, mask_scale, scratch)
+
+        def backward():
+            grads, (d_a, d_v) = head_backward()
+            return {**grads, **_prefixed(audio=self.audio.backward(a_cache, d_a)[0],
+                                         visual=self.visual.backward(v_cache, d_v)[0])}
+
+        return loss, backward
+
+    def head_loss(self, a_vec, v_vec, labels, mask_scale, scratch: Scratch | None):
+        """``batch_loss`` after the pools; ``backward()`` gives (head gradients, (d_a, d_v))."""
+        fused, x_cache = self.cross.fuse(a_vec, v_vec, mask_scale, scratch)
         loss, c_cache = self.clf.loss(fused, labels)
 
         def backward():
             c_grads, d_fused = self.clf.backward(c_cache)
-            x_grads, (d_a, d_v) = self.cross.backward(x_cache, d_fused)
-            a_grads, _ = self.audio.backward(a_cache, d_a)
-            v_grads, _ = self.visual.backward(v_cache, d_v)
-            return _prefixed(clf=c_grads, fbp=x_grads, audio=a_grads, visual=v_grads)
+            x_grads, d_pooled = self.cross.backward(x_cache, d_fused)
+            return _prefixed(clf=c_grads, fbp=x_grads), d_pooled
 
         return loss, backward
 
@@ -238,8 +244,7 @@ class FusionPipeline:
         for rows in self.blocks(audio, visual):
             mask = (None if key is None
                     else self.cross.dropout_mask(key, rows.start, rows.stop, scratch))
-            loss, backward = self.batch_loss(audio[rows], visual[rows], labels[rows], mask,
-                                             scratch)
+            loss, backward = self.batch_loss(audio[rows], visual[rows], labels[rows], mask, scratch)
             total += loss
             if acc is None:
                 acc = backward()

@@ -74,6 +74,28 @@ def test_batched_update_equals_sum_of_single_samples(overrides, block_floats, mo
 
 
 @pytest.mark.parametrize("overrides", CONFIGS)
+def test_pools_then_head_loss_is_batch_loss_to_the_byte(overrides):
+    model, (audio, visual, labels) = _rows_of_update(overrides)
+    scratch = numeric.Scratch()
+    mask = (None if model.cross.dropout_p == 0.0
+            else model.cross.dropout_mask(KEY, 0, len(labels), scratch))
+    loss, backward = model.batch_loss(audio, visual, labels, mask, scratch)
+    ref = {name: g.copy() for name, g in backward().items()}
+
+    (a_vec, a_cache), (v_vec, v_cache) = model.audio.pool(audio), model.visual.pool(visual)
+    head, head_backward = model.head_loss(a_vec, v_vec, labels, mask, scratch)
+    grads, (d_a, d_v) = head_backward()
+    assert {name.split(".")[0] for name in grads} <= {"fbp", "clf"}
+    grads.update({f"audio.{name}": g for name, g in model.audio.backward(a_cache, d_a)[0].items()})
+    grads.update({f"visual.{name}": g
+                  for name, g in model.visual.backward(v_cache, d_v)[0].items()})
+    assert repr(head) == repr(loss)
+    assert set(grads) == set(ref) == set(model.tensors())
+    for name, g in ref.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize("overrides", CONFIGS)
 def test_batched_predictions_equal_single_sample_predictions(overrides):
     model, (audio, visual, _) = _rows_of_update(overrides, count=21)
     batched = model.predict_rows(audio, visual)

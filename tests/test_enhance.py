@@ -3,6 +3,7 @@ import pytest
 
 from avfusion.enhance import (TtaTransform, ar_mean_rows, enumerate_tta, mean_rows,
                               meanstd_rows, normfft_rows)
+from avfusion.errors import InvalidConfig
 from avfusion.rng import Rng
 
 
@@ -25,8 +26,11 @@ class TestEnumerate:
         assert out[4].rotation_deg == 2.0
 
     def test_empty_lists_rejected(self):
-        with pytest.raises(ValueError):
+        # an empty grid is a config error, as ExperimentConfig reports it
+        with pytest.raises(InvalidConfig):
             enumerate_tta(rotations=[], scales=[1.0])
+        with pytest.raises(InvalidConfig):
+            enumerate_tta(rotations=[0.0], scales=())
 
 
 def random_bag(seed, n=18, dim=6):

@@ -6,9 +6,11 @@ import pytest
 
 from avfusion import checks
 from avfusion.attention import POOLS
-from avfusion.config import CROSS_FUSIONS
+from avfusion.config import CROSS_FUSIONS, ExperimentConfig
 from avfusion.errors import NonDeterministicLoss
+from avfusion.experiment import FusionPipeline
 from avfusion.gradcheck import grad_check
+from avfusion.rng import Rng
 
 
 def quadratic(params):
@@ -92,6 +94,46 @@ def test_multi_tensor_params():
     assert grad_check(loss, params) < 1e-8
 
 
+# --- the pipeline check against its one-call formulation --------------------
+
+def _one_call_pipeline_check(seed, cross_mode, audio_fusion, visual_fusion) -> float:
+    """``check_pipeline`` as one ``grad_check`` of every tensor through
+    ``batch_loss``: the same instance, drawn in the same order."""
+    rng = Rng(seed)
+    cfg = ExperimentConfig(seed=seed, audio_dim=3, audio_frames=3, visual_dim=3,
+                           visual_frames=2, audio_fusion=audio_fusion,
+                           visual_fusion=visual_fusion, cross_mode=cross_mode,
+                           fbp_k=2, fbp_o=4, fbp_dropout=0.0, attn_hidden=3,
+                           classes=3, samples=3)
+    model = FusionPipeline(cfg, rng)
+    audio = rng.normal_mat(cfg.audio_frames, cfg.audio_dim)[None]
+    visual = rng.normal_mat(cfg.visual_frames, cfg.visual_dim)[None]
+    rows = model.check_rows(audio, visual, [rng.randint(cfg.classes)])
+    return grad_check(lambda _: model.batch_loss(*rows), model.tensors())
+
+
+@pytest.mark.parametrize("seed", [104000, 73000, 3000, 5000])
+@pytest.mark.parametrize("cross", CROSS_FUSIONS)
+@pytest.mark.parametrize("kind", list(POOLS))
+def test_the_pipeline_check_equals_one_check_of_every_tensor(kind, cross, seed):
+    # the pool tensors through batch_loss, the head tensors through head_loss
+    # on rows pooled once: the same losses, so the same float to the bit
+    got = checks.check_pipeline(seed, cross, kind, kind)
+    assert got.hex() == _one_call_pipeline_check(seed, cross, kind, kind).hex()
+
+
+@pytest.mark.parametrize("cross", CROSS_FUSIONS)
+def test_the_pipeline_check_groups_every_tensor_once(cross):
+    groups = []
+    with mock.patch.object(checks, "grad_check",
+                           lambda loss, params: groups.append(list(params)) or 0.0):
+        checks.check_pipeline(104000, cross, "relation", "relation")
+    pools, heads = groups
+    cfg = ExperimentConfig(audio_fusion="relation", visual_fusion="relation", cross_mode=cross)
+    assert pools + heads == list(FusionPipeline(cfg, Rng(1)).tensors())
+    assert {name.split(".")[0] for name in heads} <= {"fbp", "clf"}
+
+
 # --- mutation: every checker fails on a wrong gradient ----------------------
 
 def _cases():
@@ -114,7 +156,12 @@ def _tensor_names(run) -> list:
 
 
 def _mutated_check(tensor, factor, loss_fn, params):
-    """``grad_check`` with the analytic gradient of ``tensor`` times ``factor``."""
+    """``grad_check`` with the analytic gradient of ``tensor`` times ``factor``
+    in the call that checks ``tensor``; a call that does not check it (a
+    pipeline check's other tensor group) runs unchanged."""
+    if tensor not in params:
+        return grad_check(loss_fn, params)
+
     def mutated(ps):
         loss, backward = loss_fn(ps)
 

@@ -18,8 +18,9 @@ ones and at 152,000 outputs, ``normal_vec(72000)``, the interaction data's
 ``draws`` layout and ``shuffle(list(range(2000)))``), each followed by the
 generator's next output, which pins the state the call left.  A change to
 the seeded stream shows there even where no guard run reaches it.
-Last come the ``run_module_checks("all", 10)`` floats and the six
-``check_pipeline(104000, cross, kind, kind)`` floats, one per line.
+Last come the ``run_module_checks("all", 10)`` floats and the
+``check_pipeline(seed, cross, kind, kind)`` floats for every cross and kind
+at seeds 104000, 73000 and 3000, one per line.
 
 ``--compare OTHER_TREE`` runs the same set twice: here, and in a
 subprocess on ``OTHER_TREE/src`` (which needs no copy of this file).  It
@@ -117,14 +118,20 @@ def rng_line() -> str:
     return f"rng sha256={digest.hexdigest()}"
 
 
+# check_pipeline seeds: 104000, the set the guard rails name, then 73000
+# (the round-off instance of ROADMAP item 5) and 3000
+PIPELINE_SEEDS = (104000, 73000, 3000)
+
+
 def check_lines() -> list:
-    """The module gradient-check floats, then the pipeline ones at seed 104000."""
+    """The module gradient-check floats, then the pipeline ones at ``PIPELINE_SEEDS``."""
     lines = [f"module {name} {float(value)!r}"
              for name, value in run_module_checks("all", 10).items()]
-    for cross in CROSS_FUSIONS:
-        for kind in POOLS:
-            lines.append(f"pipeline 104000 {cross} {kind} "
-                         f"{float(check_pipeline(104000, cross, kind, kind))!r}")
+    for seed in PIPELINE_SEEDS:
+        for cross in CROSS_FUSIONS:
+            for kind in POOLS:
+                lines.append(f"pipeline {seed} {cross} {kind} "
+                             f"{float(check_pipeline(seed, cross, kind, kind))!r}")
     return lines
 
 
