@@ -58,7 +58,7 @@ def _cmd_fuse(args) -> int:
     model = FusionPipeline(replace(cfg, audio_dim=audio.shape[2], visual_dim=visual.shape[2],
                                    enhance_mode="none"), rng)
     audio, visual, _ = model.check_rows(audio, visual)
-    fused = model.fuse_rows(audio, visual)[0][0]
+    fused = model.fuse_rows(audio, visual)[0]
     save_features(args.out, fused.reshape(1, -1))
     print(f"wrote fused vector of dim {fused.shape[0]} to {args.out}")
     return 0

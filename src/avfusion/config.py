@@ -1,16 +1,19 @@
 """Experiment configuration: key=value files with dotted keys.
 
 Format: UTF-8 lines, ``#`` starts a comment, blank lines ignored, one
-``key=value`` pair per line.  The parser rejects unknown and duplicate keys
-and values that do not cast; every other rule, finiteness included, is
-checked by ``ExperimentConfig``, a frozen dataclass, each time one is built
-(directly, by ``dataclasses.replace`` or from a file).  The
+``key=value`` pair per line.  Each ``ExperimentConfig`` field declares its
+key once, with ``_key``, and with it its ``least`` value or its ``options``;
+its annotation picks the parser and the type rule, and ``_KEYS`` is derived
+from the fields.  The parser rejects unknown and duplicate keys and values
+that do not cast.  ``ExperimentConfig``, a frozen dataclass, checks every
+other rule, types and finiteness included, each time one is built (directly,
+by ``dataclasses.replace`` or from a file); each message names the key.  The
 env var ``AVF_SEED`` overrides the seed.  See the README for the key table.
 """
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .attention import POOLS
 from .classifier import DEFAULT_CLASS_WEIGHTS
@@ -21,72 +24,6 @@ INTRA_FUSIONS = tuple(POOLS)
 CROSS_FUSIONS = ("fbp", "concat")
 ENHANCEMENTS = ("none", "mean", "meanstd", "normfft", "ar_mean")
 DATA_MODES = ("clustered", "interaction")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    seed: int = 12345
-    audio_dim: int = 8
-    audio_frames: int = 4
-    audio_fusion: str = "transformer"
-    visual_dim: int = 8
-    visual_frames: int = 4
-    visual_fusion: str = "transformer"
-    cross_mode: str = "fbp"
-    fbp_k: int = 4
-    fbp_o: int = 64
-    fbp_dropout: float = 0.3
-    enhance_mode: str = "none"
-    attn_hidden: int = 8
-    classes: int = 7
-    lr: float = 0.1
-    epochs: int = 150
-    batch_size: int = 0  # 0 = full batch
-    class_weights: tuple = ()  # empty = default for the class count
-    data_mode: str = "clustered"
-    samples: int = 350
-    noise: float = 0.1
-    tta_rotations: tuple = DEFAULT_ROTATIONS
-    tta_scales: tuple = DEFAULT_SCALES
-    patch_grid_h: int = 4
-    patch_grid_w: int = 4
-    patch_channels: int = 8
-
-    def __post_init__(self):
-        for name, options in (("audio_fusion", INTRA_FUSIONS), ("visual_fusion", INTRA_FUSIONS),
-                              ("cross_mode", CROSS_FUSIONS), ("enhance_mode", ENHANCEMENTS),
-                              ("data_mode", DATA_MODES)):
-            if getattr(self, name) not in options:
-                raise InvalidConfig(f"{name}: {getattr(self, name)!r} is not one of {options}")
-        for name in ("audio_dim", "audio_frames", "visual_dim", "visual_frames", "fbp_k", "fbp_o",
-                     "attn_hidden", "classes", "samples", "patch_grid_h", "patch_grid_w",
-                     "patch_channels"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
-        if self.epochs < 0:
-            raise InvalidConfig("epochs must be >= 0")
-        if self.batch_size < 0:
-            raise InvalidConfig("classifier.batch must be >= 0 (0 = full batch)")
-        # each range test below is False for NaN
-        if not 0.0 <= self.lr < math.inf:
-            raise InvalidConfig("lr must be >= 0 and finite")
-        if not 0.0 <= self.fbp_dropout < 1.0:
-            raise InvalidConfig("fbp.dropout must lie in [0, 1) and be finite")
-        if not 0.0 <= self.noise < math.inf:
-            raise InvalidConfig("data.noise must be >= 0 and finite")
-        if self.data_mode == "interaction" and self.classes != 2:
-            raise InvalidConfig("interaction data is binary; set classifier.classes=2")
-        if self.samples < self.classes:
-            raise InvalidConfig("need at least one sample per class")
-        if self.class_weights:
-            if len(self.class_weights) != self.classes:
-                raise InvalidConfig(f"class_weights has {len(self.class_weights)} entries "
-                                    f"for {self.classes} classes")
-            if not all(0.0 < w < math.inf for w in self.class_weights):
-                raise InvalidConfig("class_weights must be finite and strictly positive")
-        if not (self.tta_rotations and self.tta_scales
-                and all(map(math.isfinite, (*self.tta_rotations, *self.tta_scales)))):
-            raise InvalidConfig("tta.rotations and tta.scales must be non-empty and finite")
 
 
 def _parser(cast, what: str):
@@ -105,36 +42,93 @@ _parse_float_list = _parser(
     lambda text: tuple(float(part) for part in text.split(",") if part.strip() != ""),
     "comma-separated numbers")
 
-
-# config key -> (attribute, parser)
-_KEYS = {
-    "seed": ("seed", _parse_int),
-    "audio.dim": ("audio_dim", _parse_int),
-    "audio.frames": ("audio_frames", _parse_int),
-    "audio.fusion": ("audio_fusion", str),
-    "visual.dim": ("visual_dim", _parse_int),
-    "visual.frames": ("visual_frames", _parse_int),
-    "visual.fusion": ("visual_fusion", str),
-    "cross.mode": ("cross_mode", str),
-    "fbp.k": ("fbp_k", _parse_int),
-    "fbp.o": ("fbp_o", _parse_int),
-    "fbp.dropout": ("fbp_dropout", _parse_float),
-    "enhance.mode": ("enhance_mode", str),
-    "attn.hidden": ("attn_hidden", _parse_int),
-    "classifier.classes": ("classes", _parse_int),
-    "classifier.lr": ("lr", _parse_float),
-    "classifier.epochs": ("epochs", _parse_int),
-    "classifier.batch": ("batch_size", _parse_int),
-    "class_weights": ("class_weights", _parse_float_list),
-    "data.mode": ("data_mode", str),
-    "data.samples": ("samples", _parse_int),
-    "data.noise": ("noise", _parse_float),
-    "tta.rotations": ("tta_rotations", _parse_float_list),
-    "tta.scales": ("tta_scales", _parse_float_list),
-    "patch.grid_h": ("patch_grid_h", _parse_int),
-    "patch.grid_w": ("patch_grid_w", _parse_int),
-    "patch.channels": ("patch_channels", _parse_int),
+# field annotation -> (file-value parser, the Python types a value may have, their name)
+_KINDS = {
+    int: (_parse_int, int, "an integer"),
+    float: (_parse_float, (int, float), "a number"),
+    tuple: (_parse_float_list, tuple, "a tuple of numbers"),
+    str: (str, str, "a string"),
 }
+
+
+def _typed(value, types) -> bool:
+    """``isinstance(value, types)``, refusing bools, and a tuple's items numbers."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        return False
+    return types is not tuple or all(_typed(v, (int, float)) for v in value)
+
+
+def _key(key: str, default, **rule):
+    """A field declared by its config key, with its ``least`` value or ``options``."""
+    return field(default=default, metadata={"key": key, **rule})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    seed: int = _key("seed", 12345)
+    audio_dim: int = _key("audio.dim", 8, least=1)
+    audio_frames: int = _key("audio.frames", 4, least=1)
+    audio_fusion: str = _key("audio.fusion", "transformer", options=INTRA_FUSIONS)
+    visual_dim: int = _key("visual.dim", 8, least=1)
+    visual_frames: int = _key("visual.frames", 4, least=1)
+    visual_fusion: str = _key("visual.fusion", "transformer", options=INTRA_FUSIONS)
+    cross_mode: str = _key("cross.mode", "fbp", options=CROSS_FUSIONS)
+    fbp_k: int = _key("fbp.k", 4, least=1)
+    fbp_o: int = _key("fbp.o", 64, least=1)
+    fbp_dropout: float = _key("fbp.dropout", 0.3)
+    enhance_mode: str = _key("enhance.mode", "none", options=ENHANCEMENTS)
+    attn_hidden: int = _key("attn.hidden", 8, least=1)
+    classes: int = _key("classifier.classes", 7, least=1)
+    lr: float = _key("classifier.lr", 0.1)
+    epochs: int = _key("classifier.epochs", 150, least=0)
+    batch_size: int = _key("classifier.batch", 0, least=0)  # 0 = full batch
+    class_weights: tuple = _key("class_weights", ())  # empty = default for the class count
+    data_mode: str = _key("data.mode", "clustered", options=DATA_MODES)
+    samples: int = _key("data.samples", 350, least=1)
+    noise: float = _key("data.noise", 0.1)
+    tta_rotations: tuple = _key("tta.rotations", DEFAULT_ROTATIONS)
+    tta_scales: tuple = _key("tta.scales", DEFAULT_SCALES)
+    patch_grid_h: int = _key("patch.grid_h", 4, least=1)
+    patch_grid_w: int = _key("patch.grid_w", 4, least=1)
+    patch_channels: int = _key("patch.channels", 8, least=1)
+
+    def __post_init__(self):
+        for name, key, types, what, least, options in _RULES:
+            value = getattr(self, name)
+            if not _typed(value, types):
+                raise InvalidConfig(f"{key} must be {what}, got {value!r}")
+            if options is not None and value not in options:
+                raise InvalidConfig(f"{key}: {value!r} is not one of {options}")
+            if least is not None and value < least:
+                raise InvalidConfig(f"{key} must be >= {least}")
+        # each range test below is False for NaN
+        if not 0.0 <= self.lr < math.inf:
+            raise InvalidConfig("classifier.lr must be >= 0 and finite")
+        if not 0.0 <= self.fbp_dropout < 1.0:
+            raise InvalidConfig("fbp.dropout must lie in [0, 1) and be finite")
+        if not 0.0 <= self.noise < math.inf:
+            raise InvalidConfig("data.noise must be >= 0 and finite")
+        if self.data_mode == "interaction" and self.classes != 2:
+            raise InvalidConfig("interaction data is binary; set classifier.classes=2")
+        if self.samples < self.classes:
+            raise InvalidConfig("data.samples must be >= classifier.classes: "
+                                "need at least one sample per class")
+        if self.class_weights:
+            if len(self.class_weights) != self.classes:
+                raise InvalidConfig(f"class_weights has {len(self.class_weights)} entries "
+                                    f"for {self.classes} classes")
+            if not all(0.0 < w < math.inf for w in self.class_weights):
+                raise InvalidConfig("class_weights must be finite and strictly positive")
+        if not (self.tta_rotations and self.tta_scales
+                and all(map(math.isfinite, (*self.tta_rotations, *self.tta_scales)))):
+            raise InvalidConfig("tta.rotations and tta.scales must be non-empty and finite")
+
+
+# (attribute, key, value types, their name, least, options) per field, and
+# config key -> (attribute, parser); both in field order
+_RULES = tuple((f.name, f.metadata["key"], *_KINDS[f.type][1:], f.metadata.get("least"),
+                f.metadata.get("options")) for f in fields(ExperimentConfig))
+_KEYS = {f.metadata["key"]: (f.name, _KINDS[f.type][0]) for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -96,7 +96,7 @@ class Concat:
         self.params = {}
         self.out_dim = self.width = m + n
 
-    def fuse(self, a: np.ndarray, v: np.ndarray, mask_scale=None, scratch=None):
+    def fuse(self, a: np.ndarray, v: np.ndarray, mask_scale, scratch):
         """((B, m+n) rows, m): the cache is where ``backward`` splits."""
         return np.concatenate([a, v], axis=1), a.shape[1]
 
@@ -196,10 +196,10 @@ class FusionPipeline:
                           + visual.shape[1] * self.visual.frame_floats + self.cross.width)
 
     # --- forward / backward on stacked rows ---------------------------------
-    def fuse_rows(self, audio, visual, mask_scale=None, scratch: Scratch | None = None):
-        """The pooled rows through the cross stage, ``fuse``: ((B, fused) rows, its cache)."""
+    def fuse_rows(self, audio, visual, scratch: Scratch | None = None):
+        """The pooled rows through the cross stage without dropout: (B, fused) rows."""
         return self.cross.fuse(self.audio.pool(audio)[0], self.visual.pool(visual)[0],
-                               mask_scale, scratch)
+                               None, scratch)[0]
 
     def batch_loss(self, audio, visual, labels, mask_scale=None, scratch: Scratch | None = None):
         """Summed loss over stacked rows, and a thunk for the hand-chained gradient dict.
@@ -269,7 +269,7 @@ class FusionPipeline:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for rows in self.blocks(audio, visual):
-                    fused, _ = self.fuse_rows(audio[rows], visual[rows], scratch=scratch)
+                    fused = self.fuse_rows(audio[rows], visual[rows], scratch)
                     probs[rows] = class_probs(fused, self.clf.weight, self.clf.bias)
             finally:
                 if owned:

@@ -229,7 +229,7 @@ def _predict_per_block(model, audio, visual):
     preds = []
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in model.blocks(audio, visual):
-            fused, _ = model.fuse_rows(audio[rows], visual[rows])
+            fused = model.fuse_rows(audio[rows], visual[rows])
             scores = check_finite(class_probs(fused, model.clf.weight, model.clf.bias),
                                   "class scores")
             preds.append(apply_class_weights(scores, model.class_weights))

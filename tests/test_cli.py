@@ -275,6 +275,16 @@ class TestNonFiniteAndBadNames:
         assert rc == 1
         assert _single_error_line(capsys)
 
+    @pytest.mark.parametrize("line, error", [
+        ("audio.dim=0", "audio.dim must be >= 1"),
+        ("visual.fusion=bogus",
+         "visual.fusion: 'bogus' is not one of ('self', 'relation', 'transformer')")])
+    def test_a_broken_rule_names_the_key_of_the_file(self, tmp_path, capsys, line, error):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed=3\n{line}\n")
+        assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_eval_with_checkpoint_name_that_is_not_utf8(self, cfg_path, tmp_path, capsys):
         bad = tmp_path / "name.bin"
         body = struct.pack("<H", 2) + b"\xc3\x28" + struct.pack("<II", 1, 1) + b"\x00" * 8

@@ -1,6 +1,8 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from avfusion.classifier import DEFAULT_CLASS_WEIGHTS
@@ -117,6 +119,42 @@ def test_summary_round_trips_through_parser():
     assert again == cfg
 
 
+def test_the_default_summary_has_every_key_in_field_order():
+    assert config_summary(ExperimentConfig()) == """\
+seed=12345
+audio.dim=8
+audio.frames=4
+audio.fusion=transformer
+visual.dim=8
+visual.frames=4
+visual.fusion=transformer
+cross.mode=fbp
+fbp.k=4
+fbp.o=64
+fbp.dropout=0.3
+enhance.mode=none
+attn.hidden=8
+classifier.classes=7
+classifier.lr=0.1
+classifier.epochs=150
+classifier.batch=0
+class_weights=
+data.mode=clustered
+data.samples=350
+data.noise=0.1
+tta.rotations=-2,0,2
+tta.scales=1,1.03,1.07
+patch.grid_h=4
+patch.grid_w=4
+patch.channels=8"""
+
+
+def test_a_number_field_takes_ints_and_numpy_floats():
+    cfg = ExperimentConfig(lr=1, noise=np.float64(0.05), fbp_dropout=0, tta_scales=(1, 1.5),
+                           class_weights=(1,) * 7)
+    assert parse_config(config_summary(cfg)) == cfg
+
+
 @pytest.mark.parametrize("line", ["data.noise=inf", "classifier.lr=nan", "fbp.dropout=-inf",
                                   "class_weights=nan,1,1,1,1,1,1", "tta.scales=1,inf"])
 def test_non_finite_numbers_rejected(line):
@@ -124,16 +162,19 @@ def test_non_finite_numbers_rejected(line):
         parse_config(line + "\n")
 
 
-_POSITIVE = ("audio_dim", "audio_frames", "visual_dim", "visual_frames", "fbp_k", "fbp_o",
-             "attn_hidden", "classes", "samples", "patch_grid_h", "patch_grid_w",
-             "patch_channels")
+# attribute -> the config key its messages name
+_POSITIVE = {"audio_dim": "audio.dim", "audio_frames": "audio.frames", "visual_dim": "visual.dim",
+             "visual_frames": "visual.frames", "fbp_k": "fbp.k", "fbp_o": "fbp.o",
+             "attn_hidden": "attn.hidden", "classes": "classifier.classes",
+             "samples": "data.samples", "patch_grid_h": "patch.grid_h",
+             "patch_grid_w": "patch.grid_w", "patch_channels": "patch.channels"}
 _ENUMS = ("audio_fusion", "visual_fusion", "cross_mode", "enhance_mode", "data_mode")
 
 # (overrides of the default config, message): every rule the config checks
 # on construction, and each enum
 BAD_CONFIGS = [
     *[({name: "nope"}, "'nope' is not one of") for name in _ENUMS],
-    *[({name: 0}, f"{name} must be >= 1") for name in _POSITIVE],
+    *[({name: 0}, f"{re.escape(key)} must be >= 1") for name, key in _POSITIVE.items()],
     ({"epochs": -1}, "epochs must be >= 0"),
     ({"batch_size": -1}, "classifier.batch must be >= 0"),
     ({"lr": -0.5}, "lr must be >= 0"),
@@ -159,6 +200,18 @@ BAD_CONFIGS = [
     ({"tta_scales": (math.inf,)}, "must be non-empty and finite"),
     ({"tta_rotations": (0.0, math.nan)}, "must be non-empty and finite"),
     ({"tta_rotations": (-math.inf,)}, "must be non-empty and finite"),
+    # values of the wrong type, which numpy, the trainer or the report met later
+    ({"samples": 20.5, "classes": 2}, "data.samples must be an integer, got 20.5"),
+    ({"epochs": 1.5}, "classifier.epochs must be an integer, got 1.5"),
+    ({"fbp_k": 2.0}, "fbp.k must be an integer, got 2.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"lr": "0.1"}, "classifier.lr must be a number, got '0.1'"),
+    ({"lr": False}, "classifier.lr must be a number, got False"),
+    ({"class_weights": [1.0] * 7}, r"class_weights must be a tuple of numbers, got \[1.0, "),
+    ({"class_weights": ("1",) * 7}, "class_weights must be a tuple of numbers"),
+    ({"tta_scales": (1.0, True)}, r"tta.scales must be a tuple of numbers, got \(1.0, True\)"),
+    ({"tta_rotations": [0.0]}, "tta.rotations must be a tuple of numbers"),
 ]
 
 

@@ -1,12 +1,15 @@
 """Repository-level checks: the README's code runs, no public helper of the
-package exists only for the tests, and the guard-rail runner repeats itself
-and tells two trees apart."""
+package exists only for the tests, each config key is declared once and
+documented, and the guard-rail runner repeats itself and tells two trees
+apart."""
 
 import ast
 import importlib.util
 import re
 import shutil
 from pathlib import Path
+
+from avfusion.config import _KEYS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "avfusion"
@@ -66,6 +69,24 @@ def test_only_numeric_names_the_block_size():
         if "BLOCK_FLOATS" in names and path.name != "numeric.py":
             readers.append(path.name)
     assert not readers, f"modules that name BLOCK_FLOATS: {readers}"
+
+
+def test_each_config_key_is_declared_once():
+    # one owner of a key: its field in config.py; the key table is derived
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert {key: strings.count(key) for key in _KEYS} == dict.fromkeys(_KEYS, 1)
+    declared = [node.args[0].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "_key"]
+    assert declared == list(_KEYS)
+
+
+def test_readme_key_table_names_every_config_key():
+    section = (ROOT / "README.md").read_text().split("## Config format", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    named = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert named == set(_KEYS)
 
 
 TINY = {"seed": 5, "data.samples": 14, "classifier.epochs": 2, "audio.frames": 2,

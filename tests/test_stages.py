@@ -35,7 +35,7 @@ def _concat():
     rng = Rng(3)
     stage = Concat(4, 5)
     a, v = rng.normal_mat(B, 4), rng.normal_mat(B, 5)
-    out, cache = stage.fuse(a, v)
+    out, cache = stage.fuse(a, v, None, None)
     return stage, (a, v), stage.backward(cache, rng.normal_mat(*out.shape))
 
 
