@@ -196,10 +196,7 @@ class TransformerAttnCache(NamedTuple):
 def transformer_pool(feats: np.ndarray, w2: np.ndarray, b: np.ndarray, u: np.ndarray):
     """Batched transformer-attention: (B, n, d) -> ((B, d) pooled, cache)."""
     tanh_h = np.tanh(feats @ w2.T + b)
-    scores = tanh_h @ u
-    # normalized weights via max-subtraction
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = shifted / shifted.sum(axis=1, keepdims=True)
+    weights = softmax(tanh_h @ u)
     pooled = _weighted_rows(weights, feats)
     return pooled, TransformerAttnCache(feats, w2, u, tanh_h, weights)
 

@@ -41,10 +41,10 @@ def check_attention(kind: str, seed: int) -> float:
             params["w1"] = rng.uniform_vec(2 * d, -0.5, 0.5)
     _, pool, pool_backward, _ = attention.POOLS[kind]
 
-    def loss(ps):
-        pooled, cache = pool(feats, *ps.values())
+    def loss(_):
+        pooled, cache = pool(feats, *params.values())
         # the trailing d_features (None) falls off the zip
-        return float(pooled[0] @ upstream), lambda: dict(zip(ps, pool_backward(
+        return float(pooled[0] @ upstream), lambda: dict(zip(params, pool_backward(
             cache, upstream[None])))
 
     return grad_check(loss, params)

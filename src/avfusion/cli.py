@@ -1,8 +1,8 @@
 """Command-line experiment harness.
 
 Subcommands: spectrogram, fuse, train, eval, gradcheck, synth.  Every
-command exits 0 on success and nonzero with a one-line diagnostic on invalid
-input.  The env var AVF_SEED overrides the config seed.
+command exits 0 on success and 1 with a one-line diagnostic on invalid input,
+usage errors included.  The env var AVF_SEED overrides the config seed.
 """
 
 import argparse
@@ -113,8 +113,15 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so ``main`` prints it as one line and returns 1."""
+
+    def error(self, message):
+        raise AvfusionError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="avfusion",
         description="Audio-visual feature fusion experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -157,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # every ValueError the package raises is an input check, like NonFiniteValue
     except (AvfusionError, OSError, ValueError) as exc:

@@ -3,7 +3,7 @@
 Format: UTF-8 lines, ``#`` starts a comment, blank lines ignored, one
 ``key=value`` pair per line.  Each ``ExperimentConfig`` field declares its
 key once, with ``_key``, and with it its ``least`` value or its ``options``;
-its annotation picks the parser and the type rule, and ``_KEYS`` is derived
+its annotation picks the cast and the type rule, and ``_KEYS`` is derived
 from the fields.  The parser rejects unknown and duplicate keys and values
 that do not cast.  ``ExperimentConfig``, a frozen dataclass, checks every
 other rule, types and finiteness included, each time one is built (directly,
@@ -26,29 +26,23 @@ ENHANCEMENTS = ("none", "mean", "meanstd", "normfft", "ar_mean")
 DATA_MODES = ("clustered", "interaction")
 
 
-def _parser(cast, what: str):
-    """A value parser: ``cast(text)``, with its ValueError as InvalidConfig."""
-    def parse(text: str):
-        try:
-            return cast(text)
-        except ValueError:
-            raise InvalidConfig(f"expected {what}, got {text!r}") from None
-    return parse
-
-
-_parse_int = _parser(int, "an integer")
-_parse_float = _parser(float, "a number")
-_parse_float_list = _parser(
-    lambda text: tuple(float(part) for part in text.split(",") if part.strip() != ""),
-    "comma-separated numbers")
-
-# field annotation -> (file-value parser, the Python types a value may have, their name)
+# field annotation -> (cast of a file's value, the Python types a value may have, their name)
 _KINDS = {
-    int: (_parse_int, int, "an integer"),
-    float: (_parse_float, (int, float), "a number"),
-    tuple: (_parse_float_list, tuple, "a tuple of numbers"),
+    int: (int, int, "an integer"),
+    float: (float, (int, float), "a number"),
+    tuple: (lambda text: tuple(float(part) for part in text.split(",") if part.strip() != ""),
+            tuple, "a tuple of numbers"),
     str: (str, str, "a string"),
 }
+
+
+def _cast(kind, text: str, name: str):
+    """``text`` cast to a ``kind`` value; a ValueError becomes InvalidConfig naming ``name``."""
+    cast, _, what = _KINDS[kind]
+    try:
+        return cast(text)
+    except ValueError:
+        raise InvalidConfig(f"{name} must be {what}, got {text!r}") from None
 
 
 def _typed(value, types) -> bool:
@@ -125,10 +119,10 @@ class ExperimentConfig:
 
 
 # (attribute, key, value types, their name, least, options) per field, and
-# config key -> (attribute, parser); both in field order
+# config key -> (attribute, annotation); both in field order
 _RULES = tuple((f.name, f.metadata["key"], *_KINDS[f.type][1:], f.metadata.get("least"),
                 f.metadata.get("options")) for f in fields(ExperimentConfig))
-_KEYS = {f.metadata["key"]: (f.name, _KINDS[f.type][0]) for f in fields(ExperimentConfig)}
+_KEYS = {f.metadata["key"]: (f.name, f.type) for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -142,10 +136,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
-        attr, parser = _KEYS[key]
+        attr, kind = _KEYS[key]
         if attr in values:
             raise InvalidConfig(f"line {lineno}: duplicate key {key!r}")
-        values[attr] = parser(value)
+        values[attr] = _cast(kind, value, f"line {lineno}: {key}")
     return ExperimentConfig(**values)
 
 
@@ -168,7 +162,7 @@ def load_config(path, apply_env: bool = True) -> ExperimentConfig:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from None
     cfg = parse_config(text)
     if apply_env and "AVF_SEED" in os.environ:
-        cfg = replace(cfg, seed=_parse_int(os.environ["AVF_SEED"]))
+        cfg = replace(cfg, seed=_cast(int, os.environ["AVF_SEED"], "AVF_SEED"))
     return cfg
 
 

@@ -47,8 +47,7 @@ def compute_metrics(y_true, y_pred, classes: int) -> Metrics:
                           np.asarray(y_pred, dtype=np.int64)), 1)
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total if total else 0.0
-    row_sums = confusion.sum(axis=1)
-    recall = np.where(row_sums > 0, np.diag(confusion) / np.maximum(row_sums, 1), 0.0)
+    recall = np.diag(confusion) / np.maximum(confusion.sum(axis=1), 1)
     precision = np.diag(confusion) / np.maximum(confusion.sum(axis=0), 1)
     return Metrics(accuracy=accuracy, per_class_recall=recall,
                    per_class_precision=precision, confusion=confusion)
@@ -158,9 +157,11 @@ class FusionPipeline:
         for name, arr in tensors.items():
             arr = np.asarray(arr, dtype=np.float64)
             target = current[name]
-            if arr.size != target.size:
-                raise DimMismatch(f"tensor {name!r} has {arr.size} entries, "
-                                  f"model expects {target.size}")
+            # save_checkpoint stores a vector as an (n, 1) column
+            column = target.ndim == 1 and arr.shape == (target.size, 1)
+            if arr.shape != target.shape and not column:
+                raise DimMismatch(f"tensor {name!r} has shape {arr.shape}, "
+                                  f"model expects {target.shape}")
             target[...] = arr.reshape(target.shape)
 
     # --- input validation ---------------------------------------------------

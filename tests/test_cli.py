@@ -238,10 +238,20 @@ class TestGradcheckCommand:
 
 
 class TestErrorSurface:
-    def test_unknown_gradcheck_module_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", "--module", "everything"])
-        assert exc.value.code != 0
+    def test_unknown_gradcheck_module_is_a_usage_error(self, capsys):
+        assert main(["gradcheck", "--module", "everything"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: avfusion gradcheck: argument --module: "
+                              "invalid choice: 'everything'")
+        assert err.count("\n") == 1 and "usage:" not in err
+
+    @pytest.mark.parametrize("argv, error", [
+        (["train"], "error: avfusion train: the following arguments are required: "
+                    "--config, --out-dir\n"),
+        ([], "error: avfusion: the following arguments are required: command\n")])
+    def test_a_missing_argument_is_one_error_line(self, capsys, argv, error):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == error
 
     def test_eval_with_corrupt_checkpoint_fails(self, cfg_path, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

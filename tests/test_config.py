@@ -64,6 +64,16 @@ def test_bad_int_rejected():
         parse_config("seed=abc\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("audio.dim=abc", "line 1: audio.dim must be an integer, got 'abc'"),
+    ("seed=3\nclassifier.lr=fast", "line 2: classifier.lr must be a number, got 'fast'"),
+    ("class_weights=1,x", "line 1: class_weights must be a tuple of numbers, got '1,x'")])
+def test_a_value_that_does_not_cast_names_its_line_key_and_type(text, message):
+    with pytest.raises(InvalidConfig) as exc:
+        parse_config(text + "\n")
+    assert str(exc.value) == message
+
+
 def test_missing_equals_rejected():
     with pytest.raises(InvalidConfig, match="key=value"):
         parse_config("just a line\n")
@@ -106,6 +116,15 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert load_config(path).seed == 777
     monkeypatch.delenv("AVF_SEED")
     assert load_config(path).seed == 5
+
+
+def test_env_seed_that_does_not_cast_names_avf_seed(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.txt"
+    path.write_text("seed=5\n")
+    monkeypatch.setenv("AVF_SEED", "1.5")
+    with pytest.raises(InvalidConfig) as exc:
+        load_config(path)
+    assert str(exc.value) == "AVF_SEED must be an integer, got '1.5'"
 
 
 def test_missing_file_is_invalid_config(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from avfusion.errors import DimMismatch, EmptyDataset, InvalidConfig, NonFiniteV
 from avfusion.experiment import (FusionPipeline, IntraStage, compute_metrics, dataset_rows,
                                  evaluate_pipeline, experiment_rngs, prepare_dataset,
                                  run_experiment, split_indices, train_pipeline)
-from avfusion.featfile import load_checkpoint
+from avfusion.featfile import load_checkpoint, save_checkpoint
 from avfusion.rng import Rng
 
 
@@ -210,6 +211,19 @@ class TestOutputs:
         bad = {("x." + name): arr for name, arr in tensors.items()}
         with pytest.raises(DimMismatch):
             model.set_tensors(bad)
+
+    def test_checkpoint_tensor_of_the_wrong_shape_rejected(self, tmp_path):
+        cfg = small_cfg(audio_dim=3, attn_hidden=4)
+        model = FusionPipeline(cfg, Rng(1))
+        save_checkpoint(tmp_path / "ok.bin", model.tensors())
+        FusionPipeline(cfg, Rng(2)).set_tensors(load_checkpoint(tmp_path / "ok.bin"))
+        bad = model.tensors()
+        bad["audio.w2"] = bad["audio.w2"].T
+        assert bad["audio.w2"].shape == (3, 4)
+        save_checkpoint(tmp_path / "bad.bin", bad)
+        with pytest.raises(DimMismatch, match=re.escape(
+                "tensor 'audio.w2' has shape (3, 4), model expects (4, 3)")):
+            FusionPipeline(cfg, Rng(2)).set_tensors(load_checkpoint(tmp_path / "bad.bin"))
 
     def test_train_on_all_uses_every_sample(self):
         cfg = small_cfg(epochs=1)

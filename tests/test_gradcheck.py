@@ -76,14 +76,6 @@ def test_nondeterministic_loss_raises():
         grad_check(noisy, {"theta": np.zeros(2)})
 
 
-def test_epsilon_outside_allowed_range_rejected():
-    params = {"theta": np.array([1.0])}
-    with pytest.raises(ValueError):
-        grad_check(quadratic, params, epsilon=1e-8)
-    with pytest.raises(ValueError):
-        grad_check(quadratic, params, epsilon=1e-2)
-
-
 def test_multi_tensor_params():
     def loss(params):
         a, b = params["a"], params["b"]
