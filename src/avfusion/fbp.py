@@ -92,7 +92,10 @@ class FBPParams:
         the projection gradients of its backward, are views into the
         scratch's buffers.  ``window_sums`` pools the product: by k slice
         additions when k < 8 and the block holds at least 64*k windows, else
-        by one reduce, with the same bytes either way.
+        by one reduce, with the same bytes either way.  When every row's sum
+        of squares is a normal float, the rows are divided by their norms and
+        nothing else; only a block with a zero, subnormal, overflowing or NaN
+        sum takes the guarded path described in the README.
         """
         shape = (len(a), self.width)
         proj_a = np.matmul(a, self.u_tilde, out=scratch_out(scratch, "proj_a", shape))
@@ -101,22 +104,23 @@ class FBPParams:
         if mask_scale is not None:
             h *= mask_scale
         z = window_sums(h, self.o, self.k)
-        tiny = None
+        with np.errstate(over="ignore"):
+            sq = np.add.reduce(z * z, axis=1, keepdims=True)
+        z_norm = np.sqrt(sq)
+        if _TINY <= np.minimum.reduce(sq, axis=None) <= np.maximum.reduce(sq, axis=None) < np.inf:
+            # every row ordinary (a NaN sum is not): |z| > 0 is the denominator
+            out = z / z_norm
+            return out, FBPCache(a, v, proj_a, proj_v, mask_scale, z, out, z_norm, None, scratch)
         # a sum of squares that overflows, or underflows on a nonzero row,
         # is recomputed scaled by the row's largest entry
-        with np.errstate(over="ignore"):
-            sq = (z * z).sum(axis=1, keepdims=True)
-        z_norm = np.sqrt(sq)
-        if not _TINY <= sq.min() <= sq.max() < np.inf:
-            extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
-            peak = np.abs(z[extreme]).max(axis=1, keepdims=True)
-            peak[peak == 0.0] = 1.0  # a zero row keeps norm 0
-            scaled = z[extreme] / peak
-            unit_norm = np.sqrt((scaled ** 2).sum(axis=1, keepdims=True))
-            z_norm[extreme] = peak * unit_norm
-            low = (sq[extreme, 0] < _TINY) & (unit_norm[:, 0] > 0.0)
-            if low.any():
-                tiny = extreme[low], peak[low]
+        extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
+        peak = np.abs(z[extreme]).max(axis=1, keepdims=True)
+        peak[peak == 0.0] = 1.0  # a zero row keeps norm 0
+        scaled = z[extreme] / peak
+        unit_norm = np.sqrt((scaled ** 2).sum(axis=1, keepdims=True))
+        z_norm[extreme] = peak * unit_norm
+        low = (sq[extreme, 0] < _TINY) & (unit_norm[:, 0] > 0.0)
+        tiny = (extreme[low], peak[low]) if low.any() else None
         # |z|, or 1 where z = 0 so that a zero vector passes through unchanged
         denom = z_norm + (z_norm == 0.0)
         out = z / denom
@@ -202,7 +206,7 @@ def window_sums(h: np.ndarray, o: int, k: int) -> np.ndarray:
     """
     w = h.reshape(-1, o, k)
     if k >= 8 or len(w) * o < _SLICE_WINDOWS_PER_TERM * k:
-        return w.sum(axis=2)
+        return np.add.reduce(w, axis=2)
     z = np.add(w[:, :, 0], 0.0)
     for j in range(1, k):
         z += w[:, :, j]

@@ -210,6 +210,30 @@ class TestExtremeScales:
         with pytest.raises(NumericalDivergence, match="FBP"):
             params.backward(cache, np.ones((1, 4)))
 
+    def test_only_an_all_ordinary_block_takes_the_shortcut(self):
+        # ordinary rows, then an overflowing, an underflowing and a zero row:
+        # the block takes the guarded path, and its ordinary rows keep the
+        # bytes they get fused alone, which take the shortcut.  With m = n = 1
+        # each projection is one product, the same bytes at any batch size.
+        rng = Rng(31)
+        params = FBPParams.init(1, 1, 2, 3, 0.0, rng)
+        a, v = rng.normal_mat(3, 1), rng.normal_mat(3, 1)
+        scale = np.array([[1.0], [1.0], [1.0], [1e80], [1e-85], [0.0]])
+        out, cache = params.fuse(np.vstack([a, a]) * scale, np.vstack([v, v]) * scale)
+        assert cache.tiny is not None and cache.tiny[0].tolist() == [4]
+        for i in range(3):
+            alone, alone_cache = params.fuse(a[i:i + 1], v[i:i + 1])
+            assert alone_cache.tiny is None
+            assert out[i].tobytes() == alone[0].tobytes()
+            assert cache.denom[i].tobytes() == alone_cache.denom[0].tobytes()
+        assert out[5].tolist() == [0.0] * 3 and cache.denom[5].tolist() == [1.0]
+        # the ordinary block alone: |z| itself is the denominator
+        out, cache = params.fuse(a, v)
+        assert cache.tiny is None
+        want = np.sqrt(np.sum(cache.z * cache.z, axis=1, keepdims=True))
+        assert cache.denom.tobytes() == want.tobytes()
+        assert out.tobytes() == (cache.z / want).tobytes()
+
 
 class _Sliced(np.ndarray):
     """Counts the strided slices taken of it: the slice path takes k, the reduce none."""

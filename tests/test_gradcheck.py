@@ -7,7 +7,7 @@ import pytest
 from avfusion import checks
 from avfusion.attention import POOLS
 from avfusion.config import CROSS_FUSIONS, ExperimentConfig
-from avfusion.errors import NonDeterministicLoss
+from avfusion.errors import NonDeterministicLoss, NumericalDivergence
 from avfusion.experiment import FusionPipeline
 from avfusion.gradcheck import grad_check
 from avfusion.rng import Rng
@@ -196,3 +196,38 @@ def test_a_wrong_gradient_fails_its_check(run, tensor, monkeypatch):
 @pytest.mark.xfail(strict=True, reason="round-off at tiny gradients (ROADMAP item 5)")
 def test_the_round_off_instance_passes_its_check():
     assert checks.check_pipeline(73000, "concat", "relation", "relation") < checks.GRAD_TOL
+
+
+# --- non-finite values fail the check instead of passing it -----------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_analytic_gradient_fails(bad):
+    def loss(params):
+        value, backward = quadratic(params)
+        return value, lambda: {"theta": np.where([False, True, False], bad, backward()["theta"])}
+
+    assert grad_check(loss, {"theta": np.array([1.0, 2.0, 3.0])}) == np.inf
+
+
+def test_a_loss_that_is_infinite_only_at_the_perturbed_points_fails():
+    # inf on both sides makes the central difference inf - inf: NaN, not 0
+    def loss(params):
+        value, backward = quadratic(params)
+        return (value if params["theta"][1] == 2.0 else np.inf), backward
+
+    assert grad_check(loss, {"theta": np.array([1.0, 2.0, 3.0])}) == np.inf
+
+
+def test_a_nan_loss_raises_numerical_divergence():
+    def loss(params):
+        return np.nan, lambda: {"theta": np.zeros(2)}
+
+    with pytest.raises(NumericalDivergence, match="unperturbed loss is nan"):
+        grad_check(loss, {"theta": np.zeros(2)})
+
+
+def test_a_non_contiguous_parameter_is_perturbed_in_place():
+    theta = np.array([[1.0, -2.0, 0.5], [4.0, 3.0, -1.0]]).T
+    assert not theta.flags.c_contiguous
+    assert grad_check(quadratic, {"theta": theta}) < 1e-8
+    assert theta.tolist() == [[1.0, 4.0], [-2.0, 3.0], [0.5, -1.0]]

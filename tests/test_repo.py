@@ -141,3 +141,19 @@ def test_guard_rng_line_tells_two_streams_apart(tmp_path):
                                 "np.right_shift(row, np.uint64(26)"))
     diff = guard.compare(str(tmp_path), [], checks=False)
     assert [line[:13] for line in diff] == ["- rng sha256=", "+ rng sha256="]
+
+
+def test_guard_fbp_line_tells_two_extreme_paths_apart(tmp_path):
+    guard = _load_guard()
+    assert re.fullmatch(r"fbp sha256=[0-9a-f]{64}", guard.fbp_line())
+    # a copy of the package that divides a zero row by 2, not 1, changes
+    # only the guarded path: only the fbp line sees it
+    shutil.copytree(PACKAGE, tmp_path / "src" / "avfusion",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fbp = tmp_path / "src" / "avfusion" / "fbp.py"
+    text = fbp.read_text()
+    assert text.count("denom = z_norm + (z_norm == 0.0)") == 1
+    fbp.write_text(text.replace("denom = z_norm + (z_norm == 0.0)",
+                                "denom = z_norm + 2.0 * (z_norm == 0.0)"))
+    diff = guard.compare(str(tmp_path), [], checks=False)
+    assert [line[:13] for line in diff] == ["- fbp sha256=", "+ fbp sha256="]

@@ -18,6 +18,13 @@ ones and at 152,000 outputs, ``normal_vec(72000)``, the interaction data's
 ``draws`` layout and ``shuffle(list(range(2000)))``), each followed by the
 generator's next output, which pins the state the call left.  A change to
 the seeded stream shows there even where no guard run reaches it.
+The ``fbp`` line is the sha256 of the ``out``, ``denom`` and ``tiny`` arrays
+of ``FBPParams.fuse`` on blocks that take its guarded normalization: the
+``TestExtremeScales`` instance (seed 30) at scales 1e80, 1e-80, 1e-85 and
+1e150, the zero/1e-85/1e200 batch, the 1e-155 row, and a block of ordinary
+rows with an overflowing, an underflowing and a zero row.  No guard run or
+gradient check reaches those rows, so the line pins the extreme path where
+the floats below pin only the ordinary one.
 Last come the ``run_module_checks("all", 10)`` floats and the
 ``check_pipeline(seed, cross, kind, kind)`` floats for every cross and kind
 at seeds 104000, 73000 and 3000, one per line.
@@ -47,6 +54,7 @@ from avfusion.checks import check_pipeline, run_module_checks  # noqa: E402
 from avfusion.config import CROSS_FUSIONS, parse_config  # noqa: E402
 from avfusion.experiment import (FusionPipeline, prepare_dataset, run_experiment,  # noqa: E402
                                  train_pipeline)
+from avfusion.fbp import FBPParams  # noqa: E402
 from avfusion.featfile import save_checkpoint  # noqa: E402
 from avfusion.rng import Rng  # noqa: E402
 
@@ -118,6 +126,39 @@ def rng_line() -> str:
     return f"rng sha256={digest.hexdigest()}"
 
 
+def _fbp_cases():
+    """(params, a, v) for the blocks the ``fbp`` line fuses: each needs the
+    guarded normalization, or mixes such rows with ordinary ones."""
+    rng = Rng(30)
+    params = FBPParams.init(4, 5, 2, 3, 0.0, rng)
+    a, v = rng.normal_mat(6, 4), rng.normal_mat(6, 5)
+    for scale in (1e80, 1e-80, 1e-85, 1e150):
+        yield (FBPParams(u_tilde=scale * params.u_tilde, v_tilde=scale * params.v_tilde,
+                         k=2, o=3, dropout_p=0.0), a, v)
+    yield (FBPParams(u_tilde=np.ones((1, 1)), v_tilde=np.ones((1, 1)), k=1, o=1, dropout_p=0.0),
+           np.array([[0.0], [1e-85], [1e200]]), np.array([[3.0], [1e-85], [1e100]]))
+    yield (FBPParams.init(3, 3, 2, 4, 0.0, Rng(1)), np.full((1, 3), 1e-155),
+           np.full((1, 3), 1e-155))
+    rng = Rng(31)
+    params = FBPParams.init(1, 1, 2, 3, 0.0, rng)
+    a, v = rng.normal_mat(3, 1), rng.normal_mat(3, 1)
+    scale = np.array([[1.0], [1.0], [1.0], [1e80], [1e-85], [0.0]])
+    yield params, np.vstack([a, a]) * scale, np.vstack([v, v]) * scale
+
+
+def fbp_line() -> str:
+    """The sha256 of ``FBPParams.fuse``'s ``out``, ``denom`` and ``tiny`` on
+    the blocks listed in the module docstring."""
+    digest = hashlib.sha256()
+    for params, a, v in _fbp_cases():
+        out, cache = params.fuse(a, v)
+        tiny = () if cache.tiny is None else cache.tiny
+        for values in (out, cache.denom, *tiny):
+            digest.update(np.asarray(values).tobytes())
+        digest.update(len(tiny).to_bytes(1, "little"))
+    return f"fbp sha256={digest.hexdigest()}"
+
+
 # check_pipeline seeds: 104000, the set the guard rails name, then 73000
 # (the round-off instance of ROADMAP item 5) and 3000
 PIPELINE_SEEDS = (104000, 73000, 3000)
@@ -137,11 +178,12 @@ def check_lines() -> list:
 
 def guard_lines(runs=GUARD, checks: bool = True):
     """The set's lines, one at a time: ``runs`` as (name, config keys), the
-    ``rng`` line, then the gradient-check floats when ``checks``."""
+    ``rng`` and ``fbp`` lines, then the gradient-check floats when ``checks``."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, keys in runs:
             yield run_line(name, keys, str(Path(tmp) / name))
     yield rng_line()
+    yield fbp_line()
     if checks:
         yield from check_lines()
 
