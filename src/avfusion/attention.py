@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import sigmoid, softmax
+from .numeric import reduce_last, sigmoid, softmax
 from .rng import Rng
 
 
@@ -77,7 +77,7 @@ def self_pool(feats: np.ndarray, w0: np.ndarray):
     """Batched self-attention: (B, n, d) -> ((B, d) pooled, cache)."""
     scores = feats @ w0
     alpha = sigmoid(scores)
-    asum = alpha.sum(axis=1, keepdims=True)
+    asum = reduce_last(np.add, alpha)
     if np.count_nonzero(asum) == len(asum):  # no zero sum; the cheapest test of it
         norm_weights, saturated = alpha / asum, None
     else:
@@ -136,7 +136,7 @@ def relation_pool(feats: np.ndarray, w0: np.ndarray, w1: np.ndarray):
     scores = feats @ w1[:d] + (f_s @ w1[d:])[:, None]
     beta = sigmoid(scores)
     weights = self_cache.alpha * beta
-    wsum = weights.sum(axis=1, keepdims=True)
+    wsum = reduce_last(np.add, weights)
     if np.count_nonzero(wsum) == len(wsum):
         norm_weights, saturated = weights / wsum, None
     else:
@@ -169,11 +169,11 @@ def relation_pool_backward(cache: RelationAttnCache, d_pooled: np.ndarray,
         g_score[rows] = g_log * (1.0 - beta[rows])
         d_score = np.zeros_like(alpha)
         d_score[rows] = g_log * (1.0 - alpha[rows])
-    g_score_sum = g_score.sum(axis=1)
+    g_score_sum = reduce_last(np.add, g_score)
     # scores t_i = [f_i : f_s] . w1 touch both f_i and f_s
     d_w1 = np.concatenate([g_score.reshape(-1) @ feats.reshape(-1, d),
-                           g_score_sum @ self_cache.pooled])
-    d_fs = g_hi + g_score_sum[:, None] * w1[d:]
+                           g_score_sum[:, 0] @ self_cache.pooled])
+    d_fs = g_hi + g_score_sum * w1[d:]
     d_w0, d_feats_sa = self_pool_backward(self_cache, d_fs, need_features, d_alpha, d_score)
     d_feats = None
     if need_features:
@@ -208,7 +208,7 @@ def transformer_pool_backward(cache: TransformerAttnCache, d_pooled: np.ndarray,
     m, d = cache.w2.shape
     g_weight = _row_dot(feats, d_pooled)
     # softmax backward: d score_i = w_i (g_i - sum_j w_j g_j)
-    g_score = weights * (g_weight - (weights * g_weight).sum(axis=1, keepdims=True))
+    g_score = weights * (g_weight - reduce_last(np.add, weights * g_weight))
     d_u = g_score.reshape(-1) @ tanh_h.reshape(-1, m)
     g_h = (g_score[:, :, None] * cache.u) * (1.0 - tanh_h ** 2)
     flat_g_h = g_h.reshape(-1, m)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch
-from .numeric import softmax
+from .numeric import reduce_last, softmax
 from .rng import Rng
 
 # square-root sample-count weights for the 7 emotion classes
@@ -76,5 +76,5 @@ def apply_class_weights(probs: np.ndarray, weights: np.ndarray):
     if probs.shape[-1:] != weights.shape:
         raise DimMismatch(f"scores dim {probs.shape} != weights dim {weights.shape}")
     reweighted = probs * weights
-    best = reweighted == reweighted.max(axis=-1, keepdims=True)
+    best = reweighted == reduce_last(np.maximum, reweighted)
     return np.argmax(np.where(best, probs, -1.0), axis=-1)

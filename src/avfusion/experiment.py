@@ -42,9 +42,14 @@ class Metrics:
 
 
 def compute_metrics(y_true, y_pred, classes: int) -> Metrics:
-    confusion = np.zeros((classes, classes), dtype=np.int64)
-    np.add.at(confusion, (np.asarray(y_true, dtype=np.int64),
-                          np.asarray(y_pred, dtype=np.int64)), 1)
+    true = np.asarray(y_true, dtype=np.int64)
+    pred = np.asarray(y_pred, dtype=np.int64)
+    # as unsigned, a negative label is out of range too; unchecked, bincount
+    # would count a prediction of ``classes`` in the next true class's row
+    if true.size and np.maximum(true.view(np.uint64), pred.view(np.uint64)).max() >= classes:
+        raise DimMismatch(f"labels must lie in 0..{classes - 1}")
+    confusion = np.bincount(true * classes + pred,
+                            minlength=classes * classes).reshape(classes, classes)
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total if total else 0.0
     recall = np.diag(confusion) / np.maximum(confusion.sum(axis=1), 1)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatch, NumericalDivergence
-from .numeric import Scratch, check_vec, scratch_out
+from .numeric import Scratch, check_vec, reduce_last, scratch_out
 from .rng import Rng, counter_u64
 
 _TINY = np.finfo(np.float64).tiny
@@ -105,9 +105,14 @@ class FBPParams:
             h *= mask_scale
         z = window_sums(h, self.o, self.k)
         with np.errstate(over="ignore"):
-            sq = np.add.reduce(z * z, axis=1, keepdims=True)
+            sq = reduce_last(np.add, z * z)
         z_norm = np.sqrt(sq)
-        if _TINY <= np.minimum.reduce(sq, axis=None) <= np.maximum.reduce(sq, axis=None) < np.inf:
+        if len(sq) == 1:
+            ordinary = _TINY <= sq.item() < math.inf
+        else:
+            ordinary = (_TINY <= np.minimum.reduce(sq, axis=None)
+                        <= np.maximum.reduce(sq, axis=None) < np.inf)
+        if ordinary:
             # every row ordinary (a NaN sum is not): |z| > 0 is the denominator
             out = z / z_norm
             return out, FBPCache(a, v, proj_a, proj_v, mask_scale, z, out, z_norm, None, scratch)
@@ -139,7 +144,7 @@ class FBPParams:
         """
         # out = z/|z|: d_z = (g - (g.out) out) / |z|; zero rows give d_z = g, and
         # the tiny rows peak * d_z
-        d_z = (g - (g * cache.out).sum(axis=1, keepdims=True) * cache.out) / cache.denom
+        d_z = (g - reduce_last(np.add, g * cache.out) * cache.out) / cache.denom
         d_h = d_z.repeat(self.k, axis=1)
         if cache.mask_scale is not None:
             d_h *= cache.mask_scale
@@ -186,31 +191,10 @@ class FBPResult:
     cache: FBPCache
 
 
-# Below 8 terms numpy's reduce adds a window's entries in order from +0.0,
-# as k strided slice additions do; from 8 on it sums in pairwise blocks.
-# The reduce runs one inner loop per window, about 0.02 us each; a slice
-# addition costs about 1.5 us whatever its size.  In a timeit sweep over
-# k = 2..7 and 4 to 6,400 windows (numpy 2.4.6, 2-CPU x86 host) the slices
-# won from about 64 windows per term on: 128 at k=2, 256 at k=4, 450 at k=7.
-_SLICE_WINDOWS_PER_TERM = 64
-
-
 def window_sums(h: np.ndarray, o: int, k: int) -> np.ndarray:
-    """(B, o) sums of the o windows of width k along the rows of h (B, k*o).
-
-    The same bytes as ``h.reshape(-1, o, k).sum(axis=2)``.  For k < 8 on
-    at least 64*k windows in all it is k strided slice additions from +0.0,
-    which give those bytes (a window of negative zeros sums to +0.0 on
-    both); otherwise it is that one reduce, which is faster on small
-    blocks such as the B=1 gradient checks'.
-    """
-    w = h.reshape(-1, o, k)
-    if k >= 8 or len(w) * o < _SLICE_WINDOWS_PER_TERM * k:
-        return np.add.reduce(w, axis=2)
-    z = np.add(w[:, :, 0], 0.0)
-    for j in range(1, k):
-        z += w[:, :, j]
-    return z
+    """(B, o) sums of the o windows of width k along the rows of h (B, k*o):
+    the bytes of ``h.reshape(-1, o, k).sum(axis=2)``, by ``reduce_last``."""
+    return reduce_last(np.add, h.reshape(-1, o, k)).reshape(-1, o)
 
 
 def fbp_fuse(a: np.ndarray, v: np.ndarray, params: FBPParams, mode: str = "eval") -> FBPResult:

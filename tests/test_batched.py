@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avfusion import experiment, fbp, numeric
+from avfusion import attention, classifier, experiment, fbp, numeric
 from avfusion.checks import GRAD_TOL
 from avfusion.config import ExperimentConfig
 from avfusion.classifier import apply_class_weights, class_probs
@@ -434,3 +434,60 @@ def test_empty_sets_are_refused_before_predict_rows_and_batch_loss(kind):
             model.predict_rows(*model.check_rows(*rows)[:2])
         with pytest.raises(DimMismatch, match=f"{name} feature sets need n >= 1 vectors"):
             model.batch_loss(*model.check_rows(*rows, [0, 1]))
+
+
+def _plain_reduce(ufunc, x):
+    """The reductions the stages wrote before ``numeric.reduce_last``."""
+    return x.sum(axis=-1, keepdims=True) if ufunc is np.add else x.max(axis=-1, keepdims=True)
+
+
+def _stage_outputs(rows):
+    """Every array that softmax, class reweighting, the three pools and FBP
+    return, forward and backward, on ``rows`` random rows: 3 frames of dim 4,
+    5 classes, FBP k=2 o=4.  At 400 rows every short axis here takes the
+    column path (at least 64 rows per term), at 1 and 51 the reduce."""
+    rng = np.random.default_rng(rows)
+    feats = rng.standard_normal((rows, 3, 4))
+    g4, g8 = rng.standard_normal((rows, 4)), rng.standard_normal((rows, 8))
+    logits = rng.standard_normal((rows, 5)) * 3.0
+    # rows whose largest reweighted scores tie: equal scores, and two
+    # neighbouring floats that round to one product with the weight 0.3
+    probs = numeric.softmax(logits)
+    probs[::4] = [0.35, 0.35, 0.1, 0.1, 0.1]
+    probs[1::4] = [0.10435217608804404, 0.10435217608804405, 0.01, 0.01, 0.01]
+    weights = np.array([0.3, 0.3, 0.2, 0.1, 0.1])
+    out = [numeric.softmax(logits), classifier.apply_class_weights(probs, weights),
+           classifier.apply_class_weights(probs, np.full(5, 2.5))]
+    w0, w1 = rng.standard_normal(4), rng.standard_normal(8)
+    w2, b, u = rng.standard_normal((3, 4)), rng.standard_normal(3), rng.standard_normal(3)
+    for pool, backward, params, g in (
+            (attention.self_pool, attention.self_pool_backward, (w0,), g4),
+            (attention.relation_pool, attention.relation_pool_backward, (w0, w1), g8),
+            (attention.transformer_pool, attention.transformer_pool_backward, (w2, b, u), g4)):
+        pooled, cache = pool(feats, *params)
+        out += [pooled, *cache, *backward(cache, g, need_features=True)]
+    params = fbp.FBPParams(u_tilde=rng.standard_normal((4, 8)),
+                           v_tilde=rng.standard_normal((4, 8)), k=2, o=4, dropout_p=0.0)
+    fused, cache = params.fuse(feats[:, 0], feats[:, 1])
+    grads, inputs = params.backward(cache, g4)
+    return out + [fused, cache.z, cache.denom, *grads.values(), *inputs]
+
+
+def _arrays(values):
+    for v in values:
+        if isinstance(v, tuple):
+            yield from _arrays(v)
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
+@pytest.mark.parametrize("rows", [1, 51, 400])
+def test_short_axis_reductions_give_the_bytes_of_the_plain_reductions(rows, monkeypatch):
+    got = list(_arrays(_stage_outputs(rows)))
+    for module in (numeric, attention, classifier, fbp):
+        monkeypatch.setattr(module, "reduce_last", _plain_reduce)
+    want = list(_arrays(_stage_outputs(rows)))
+    assert len(got) == len(want) > 30
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and a.dtype == b.dtype, i
+        assert a.tobytes() == b.tobytes(), i

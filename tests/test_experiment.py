@@ -44,6 +44,30 @@ class TestMetrics:
         assert m.accuracy == np.trace(m.confusion) / m.confusion.sum()
         assert m.confusion.sum(axis=1).tolist() == [y_true.count(c) for c in range(4)]
 
+    @pytest.mark.parametrize("rows, classes", [(1, 2), (2000, 2), (350, 7)])
+    def test_confusion_counts_as_add_at_does(self, rows, classes):
+        rng = np.random.default_rng(rows)
+        y_true, y_pred = rng.integers(0, classes, (2, rows))
+        want = np.zeros((classes, classes), dtype=np.int64)
+        np.add.at(want, (y_true, y_pred), 1)
+        m = compute_metrics(y_true, y_pred, classes)
+        assert m.confusion.dtype == np.int64
+        assert m.confusion.tobytes() == want.tobytes()
+
+    def test_no_labels(self):
+        m = compute_metrics([], [], classes=3)
+        assert m.confusion.tolist() == [[0] * 3] * 3
+        assert m.accuracy == 0.0
+        assert m.per_class_recall.tolist() == m.per_class_precision.tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("y_true, y_pred", [([0, -1], [0, 1]), ([0, 1], [-1, 1]),
+                                                ([0, 3], [0, 1]), ([0, 1], [3, 1]),
+                                                ([0, 1], [0, 2**62])])
+    def test_a_label_out_of_range_raises(self, y_true, y_pred):
+        # unchecked, a prediction of 3 would count as class 0 of the next row
+        with pytest.raises(DimMismatch, match=r"0\.\.2"):
+            compute_metrics(y_true, y_pred, classes=3)
+
 
 # tensor names and shapes of FusionPipeline(cfg, Rng(11)) for each attention
 # kind and cross mode, with the sha256 of their float64 bytes in that order;

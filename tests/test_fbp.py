@@ -234,6 +234,27 @@ class TestExtremeScales:
         assert cache.denom.tobytes() == want.tobytes()
         assert out.tobytes() == (cache.z / want).tobytes()
 
+    def test_a_one_row_block_tests_its_sum_as_the_block_does(self):
+        # a zero, an underflowing, an overflowing and a NaN row, each alone and
+        # among ordinary rows: the same bytes of out, denom and tiny; with
+        # m = n = 1 each projection is one product at any batch size
+        rng = Rng(32)
+        params = FBPParams.init(1, 1, 2, 3, 0.0, rng)
+        scale = np.array([[1.0], [0.0], [1e-160], [1e200], [np.nan], [1.0]])
+        a, v = rng.normal_mat(6, 1) * scale, rng.normal_mat(6, 1)
+        out, cache = params.fuse(a, v)
+        assert cache.tiny is not None and cache.tiny[0].tolist() == [2]
+        for i in range(1, 5):
+            alone, alone_cache = params.fuse(a[i:i + 1], v[i:i + 1])
+            assert alone.tobytes() == out[i:i + 1].tobytes(), i
+            assert alone_cache.denom.tobytes() == cache.denom[i:i + 1].tobytes(), i
+            if i == 2:
+                assert alone_cache.tiny[0].tolist() == [0]
+                assert alone_cache.tiny[1].tobytes() == cache.tiny[1].tobytes()
+            else:
+                assert alone_cache.tiny is None, i
+        assert np.isnan(out[4]).all() and out[1].tolist() == [0.0] * 3
+
 
 class _Sliced(np.ndarray):
     """Counts the strided slices taken of it: the slice path takes k, the reduce none."""

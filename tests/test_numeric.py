@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from avfusion.audio import FFT_SIZE, _spectrum
 from avfusion.errors import AvfusionError, DimMismatch, NonFiniteValue
-from avfusion.numeric import check_finite, check_set, check_vec, sigmoid, softmax
+from avfusion.numeric import check_finite, check_set, check_vec, reduce_last, sigmoid, softmax
 from avfusion.rng import Rng
 
 
@@ -125,3 +125,84 @@ def test_softmax_rows_are_independent():
     probs = softmax(logits)
     assert np.allclose(probs[0], softmax(logits[0]), atol=1e-15)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+class _Columns(np.ndarray):
+    """Counts the columns taken of it: the column path takes n, the reduce none."""
+    taken = 0
+
+    def __getitem__(self, key):
+        _Columns.taken += 1
+        return super().__getitem__(key)
+
+
+def _reduced_and_columns(ufunc, x):
+    _Columns.taken = 0
+    out = reduce_last(ufunc, x.view(_Columns))
+    return np.asarray(out), _Columns.taken
+
+
+def _reduce(ufunc, x):
+    return ufunc.reduce(x, axis=-1, keepdims=True)
+
+
+class TestReduceLast:
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_both_paths_give_the_bytes_of_the_reduce(self, ufunc, n):
+        rng = np.random.default_rng(n)
+        threshold = 64 * n
+        for rows in (1, threshold - 1, threshold, threshold + 13):
+            x = rng.standard_normal((rows, n)) * np.exp(rng.uniform(-40.0, 40.0, (rows, n)))
+            x[rng.random(x.shape) < 0.3] = 0.0
+            x[rng.random(x.shape) < 0.2] = -0.0
+            got, columns = _reduced_and_columns(ufunc, x)
+            assert got.shape == (rows, 1)
+            assert got.tobytes() == _reduce(ufunc, x).tobytes()
+            assert columns == (n if n < 8 and rows >= threshold else 0), rows
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_of_negative_zeros_sum_to_positive_zero(self, n):
+        x = np.full((64 * n, n), -0.0)
+        got, columns = _reduced_and_columns(np.add, x)
+        assert columns == n
+        assert not np.signbit(got).any()
+        assert got.tobytes() == _reduce(np.add, x).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_nan_rows_and_zero_maxima_match_the_reduce(self, n):
+        # random rows of +0.0, -0.0, NaN and -1.0, and rows whose zero
+        # maximum is tied between both signs, in either order
+        rng = np.random.default_rng(100 + n)
+        x = rng.choice(np.array([0.0, -0.0, np.nan, -1.0]), (64 * n + 5, n))
+        x[0], x[1] = 0.0, -0.0
+        x[2, :] = -0.0
+        x[2, -1] = 0.0
+        x[3, :] = 0.0
+        x[3, -1] = -0.0
+        for ufunc in (np.add, np.maximum):
+            got, columns = _reduced_and_columns(ufunc, x)
+            assert columns == n
+            assert got.tobytes() == _reduce(ufunc, x).tobytes()
+        assert np.isnan(got[np.isnan(x).any(axis=1)]).all()
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_eight_terms_or_more_take_the_reduce(self, n):
+        # in order from +0.0 a row of 1e16, 1, 1, 1 sums to 1e16; numpy's
+        # pairwise blocks give 1e16 + 2
+        x = np.zeros((64 * n, n))
+        x[:, :4] = [1e16, 1.0, 1.0, 1.0]
+        got, columns = _reduced_and_columns(np.add, x)
+        assert columns == 0
+        assert got.tobytes() == _reduce(np.add, x).tobytes()
+        assert np.all(got == 1e16 + 2.0)
+
+    def test_leading_axes_count_as_rows(self):
+        # (B, o, k) windows: 64*k rows in all take the columns, however split
+        x = np.random.default_rng(3).standard_normal((32, 4, 2))
+        for ufunc in (np.add, np.maximum):
+            got, columns = _reduced_and_columns(ufunc, x)
+            assert columns == 2 and got.shape == (32, 4, 1)
+            assert got.tobytes() == _reduce(ufunc, x).tobytes()
+        got, columns = _reduced_and_columns(np.add, x[:31])
+        assert columns == 0
