@@ -279,7 +279,7 @@ class PatchEmbedParams:
         tiles = specs[:, :grid_h * patch_h, :grid_w * patch_w].reshape(
             batch, grid_h, patch_h, grid_w, patch_w)
         patches = tiles.transpose(0, 1, 3, 2, 4).reshape(batch * grid_h * grid_w, pixels)
-        out = patches @ self.projection + self.bias
+        out = project_patches(patches, self.projection, self.bias)
         return out.reshape(batch, grid_h * grid_w, self.channels), patches
 
     def backward(self, patches: np.ndarray, g: np.ndarray):
@@ -287,6 +287,13 @@ class PatchEmbedParams:
         (B, grid_h*grid_w, channels) upstream gradients."""
         g = g.reshape(len(patches), self.channels)
         return {"projection": patches.T @ g, "bias": np.sum(g, axis=0)}, None
+
+
+def project_patches(patches: np.ndarray, projection: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(N, channels) embeddings of (N, patch_pixels) patches.  A stack of
+    projections (S, patch_pixels, channels) or of biases (S, 1, channels)
+    gives each one's (S, N, channels) embeddings, the bytes of one call each."""
+    return np.matmul(patches, projection) + bias
 
 
 def patch_embed(spec: Spectrogram, params: PatchEmbedParams):

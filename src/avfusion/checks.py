@@ -2,7 +2,10 @@
 
 Each checker builds randomized instances (sizes drawn from a seeded rng),
 runs the hand-derived backward pass, and validates it against central
-differences.  The CLI ``gradcheck`` subcommand and the acceptance tests both
+differences.  The FBP, classifier and patch-embedding checks give
+``grad_check`` a stacked loss for each tensor: every perturbed copy's loss
+from one run of the stage's own arithmetic, row for row the bytes of the
+B=1 forward.  The CLI ``gradcheck`` subcommand and the acceptance tests both
 run these.
 """
 
@@ -11,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import attention, audio, fbp
-from .classifier import SoftmaxParams
+from .classifier import SoftmaxParams, class_probs, label_log_probs
 from .config import ExperimentConfig
 from .experiment import FusionPipeline
 from .gradcheck import grad_check
@@ -64,14 +67,28 @@ def check_fbp(seed: int) -> float:
                        v_tilde=rng.uniform_mat(n, k * o, -0.5, 0.5),
                        k=k, o=o, dropout_p=dropout_p)
     mask = (rng.uniform_vec(k * o) >= dropout_p).astype(np.float64) if with_dropout else None
-    mask_scale = mask[None] / (1 - dropout_p) if with_dropout else None
+    return fbp_check(fp, a, v, upstream, mask[None] / (1 - dropout_p) if with_dropout else None)
 
-    # grad_check perturbs fp's own arrays in place
+
+def fbp_check(fp: fbp.FBPParams, a: np.ndarray, v: np.ndarray, upstream: np.ndarray,
+              mask_scale: np.ndarray | None) -> float:
+    """The gradients of ``out @ upstream`` for one pair a (m,), v (n,)
+    through ``fp`` with the frozen (1, k*o) ``mask_scale`` or None."""
+
     def loss(ps):
         out, cache = fp.fuse(a[None], v[None], mask_scale)
         return float(out[0] @ upstream), lambda: fp.backward(cache, upstream[None])[0]
 
-    return grad_check(loss, fp.params)
+    def losses(proj_a, proj_v):
+        # row i's out[0] @ upstream: one dot per item, as at B=1
+        out = fp.fuse_projections(proj_a, proj_v, mask_scale, None)[0]
+        return np.matmul(out[:, None], upstream[:, None])[:, 0, 0]
+
+    # each copy's projection is the B=1 matmul's, against the other's B=1 row
+    proj_a, proj_v = np.matmul(a[None], fp.u_tilde), np.matmul(v[None], fp.v_tilde)
+    return grad_check(loss, fp.params, {
+        "u_tilde": lambda copies: losses(np.matmul(a[None], copies)[:, 0], proj_v),
+        "v_tilde": lambda copies: losses(proj_a, np.matmul(v[None], copies)[:, 0])})
 
 
 def check_classifier(seed: int) -> float:
@@ -82,12 +99,18 @@ def check_classifier(seed: int) -> float:
     clf = SoftmaxParams(weight=rng.uniform_mat(classes, d_in, -0.5, 0.5),
                         bias=rng.normal_vec(classes, 0.0, 0.3))
 
-    # grad_check perturbs clf's own arrays in place
     def loss(ps):
         value, cache = clf.loss(x[None], np.array([label]))
         return value, lambda: clf.backward(cache)[0]
 
-    return grad_check(loss, clf.params)
+    def losses(probs):
+        # row i's -sum of its one log-probability, as at B=1
+        probs = probs.reshape(-1, classes)
+        return -label_log_probs(probs, np.full(len(probs), label))[:, None].sum(axis=1)
+
+    return grad_check(loss, clf.params, {
+        "weight": lambda copies: losses(class_probs(x[None], copies, clf.bias)),
+        "bias": lambda copies: losses(class_probs(x[None], clf.weight, copies))})
 
 
 def check_patch_embed(seed: int) -> float:
@@ -100,12 +123,20 @@ def check_patch_embed(seed: int) -> float:
     upstream = rng.normal_mat(grid_h * grid_w, channels)[None]
     embed = audio.PatchEmbedParams.init(grid_h, grid_w, patch_h, patch_w, channels, rng)
 
-    # grad_check perturbs embed's own arrays in place
     def loss(ps):
         out, patches = embed.embed(spec)
         return float(np.sum(out * upstream)), lambda: embed.backward(patches, upstream)[0]
 
-    return grad_check(loss, embed.params)
+    def losses(out):
+        # copy i's sum over its contiguous out * upstream, as at B=1
+        return (out * upstream).reshape(len(out), -1).sum(axis=1)
+
+    patches = embed.embed(spec)[1]
+    return grad_check(loss, embed.params, {
+        "projection": lambda copies: losses(
+            audio.project_patches(patches, copies, embed.bias)),
+        "bias": lambda copies: losses(
+            audio.project_patches(patches, embed.projection, copies[:, None]))})
 
 
 def check_pipeline(seed: int, cross_mode: str = "fbp",

@@ -47,9 +47,7 @@ class SoftmaxParams:
         The loss ends the chain: ``backward`` takes no g.
         """
         probs = class_probs(x, self.weight, self.bias)
-        rows = np.arange(labels.shape[0])
-        loss = -float(np.log(np.maximum(probs[rows, labels], 1e-300)).sum())
-        return loss, (x, labels, probs)
+        return -float(label_log_probs(probs, labels).sum()), (x, labels, probs)
 
     def backward(self, cache):
         """(gradients summed over the rows, d_x per row); d_logits = probs - onehot(label)."""
@@ -59,8 +57,17 @@ class SoftmaxParams:
 
 
 def class_probs(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities for input rows x (B, d_in): (B, C)."""
-    return softmax(x @ weight.T + bias)
+    """Softmax class probabilities for input rows x (B, d_in): (B, C).
+
+    A stack of S weights (S, C, d_in) gives (S, B, C) probabilities, and at
+    B=1 a stack of biases (S, C) gives (S, C): each one's bytes of one call.
+    """
+    return softmax(x @ weight.swapaxes(-1, -2) + bias)
+
+
+def label_log_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """log p(label) of each row of (B, C) probabilities, floored at 1e-300: (B,)."""
+    return np.log(np.maximum(probs[np.arange(len(labels)), labels], 1e-300))
 
 
 def apply_class_weights(probs: np.ndarray, weights: np.ndarray):

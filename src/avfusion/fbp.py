@@ -95,12 +95,25 @@ class FBPParams:
         by one reduce, with the same bytes either way.  When every row's sum
         of squares is a normal float, the rows are divided by their norms and
         nothing else; only a block with a zero, subnormal, overflowing or NaN
-        sum takes the guarded path described in the README.
+        sum takes the guarded path described in the README.  It gives an
+        ordinary row the same bytes, so ``fuse_projections``, which runs all
+        of this after the two projections, is row-wise.
         """
         shape = (len(a), self.width)
         proj_a = np.matmul(a, self.u_tilde, out=scratch_out(scratch, "proj_a", shape))
         proj_v = np.matmul(v, self.v_tilde, out=scratch_out(scratch, "proj_v", shape))
-        h = np.multiply(proj_a, proj_v, out=scratch_out(scratch, "h", shape))
+        out, z, denom, tiny = self.fuse_projections(proj_a, proj_v, mask_scale, scratch)
+        return out, FBPCache(a, v, proj_a, proj_v, mask_scale, z, out, denom, tiny, scratch)
+
+    def fuse_projections(self, proj_a: np.ndarray, proj_v: np.ndarray,
+                         mask_scale: np.ndarray | None, scratch: Scratch | None):
+        """The row-wise tail of ``fuse`` on its projections: (out, z, denom, tiny).
+
+        Every step works on each row alone, so a row's bytes do not depend on
+        the rows beside it, and one projection may be a single row against
+        the other's stack (with a ``scratch``, both are (B, k*o)).
+        """
+        h = np.multiply(proj_a, proj_v, out=scratch_out(scratch, "h", proj_a.shape))
         if mask_scale is not None:
             h *= mask_scale
         z = window_sums(h, self.o, self.k)
@@ -114,8 +127,7 @@ class FBPParams:
                         <= np.maximum.reduce(sq, axis=None) < np.inf)
         if ordinary:
             # every row ordinary (a NaN sum is not): |z| > 0 is the denominator
-            out = z / z_norm
-            return out, FBPCache(a, v, proj_a, proj_v, mask_scale, z, out, z_norm, None, scratch)
+            return z / z_norm, z, z_norm, None
         # a sum of squares that overflows, or underflows on a nonzero row,
         # is recomputed scaled by the row's largest entry
         extreme = np.flatnonzero(np.isinf(sq[:, 0]) | (sq[:, 0] < _TINY))
@@ -135,7 +147,7 @@ class FBPParams:
             # backward's division by |z| cannot overflow
             denom[tiny[0]] = unit_norm[low]
             out[tiny[0]] = scaled[low] / denom[tiny[0]]
-        return out, FBPCache(a, v, proj_a, proj_v, mask_scale, z, out, denom, tiny, scratch)
+        return out, z, denom, tiny
 
     def backward(self, cache: "FBPCache", g: np.ndarray):
         """({"u_tilde", "v_tilde"} gradients, (d_a, d_v)) for (B, o) upstream gradients.

@@ -153,8 +153,15 @@ class Rng:
 
     def u64_block(self, count: int) -> np.ndarray:
         """The next ``count`` outputs of ``next_u64``, as a uint64 array."""
-        if count < _BULK_MIN:
-            return np.array([self.next_u64() for _ in range(count)], dtype=np.uint64)
+        if count < _BULK_MIN:  # next_u64's steps, in locals
+            x, out = self._state, []
+            for _ in range(count):
+                x ^= x >> 12
+                x ^= (x << 25) & _MASK64
+                x ^= x >> 27
+                out.append((x * _MUL) & _MASK64)
+            self._state = x
+            return np.array(out, dtype=np.uint64)
         x = _lane_starts(self._state, (count - 1) // _LANE + 1)
         states, tmp = np.empty((_LANE, x.size), dtype=np.uint64), np.empty_like(x)
         for row in states:  # row = T(x) with no temporaries

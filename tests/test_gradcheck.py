@@ -9,7 +9,9 @@ from avfusion.attention import POOLS
 from avfusion.config import CROSS_FUSIONS, ExperimentConfig
 from avfusion.errors import NonDeterministicLoss, NumericalDivergence
 from avfusion.experiment import FusionPipeline
-from avfusion.gradcheck import grad_check
+from avfusion.fbp import FBPParams
+from avfusion.gradcheck import EPSILON, grad_check
+from avfusion.numeric import row_blocks
 from avfusion.rng import Rng
 
 
@@ -126,6 +128,163 @@ def test_the_pipeline_check_groups_every_tensor_once(cross):
     assert {name.split(".")[0] for name in heads} <= {"fbp", "clf"}
 
 
+# --- the stacked losses against the per-entry loop ---------------------------
+
+STACKED_MODULES = ("fbp", "classifier", "patch")
+
+
+def _loop_losses(loss_fn, params) -> np.ndarray:
+    """Every perturbed loss of the per-entry loop, in grad_check's order:
+    tensor by tensor, entry by entry, the plus step before the minus step."""
+    losses = []
+    for theta in params.values():
+        flat = theta.flat
+        for i in range(theta.size):
+            orig = flat[i]
+            for value in (orig + EPSILON, orig - EPSILON):
+                flat[i] = value
+                losses.append(loss_fn(params)[0])
+            flat[i] = orig
+    return np.array(losses, dtype=np.float64)
+
+
+def _stacked_and_loop_losses(run):
+    """(stacked, loop): every perturbed loss of the checks ``run`` makes, as
+    ``grad_check``'s stacked path takes them and from the per-entry loop.
+    Each check's float must be the same on both paths."""
+    stacked_out, loop_out = [], []
+
+    def recorded(stacked_loss):
+        def call(copies):
+            losses = stacked_loss(copies)
+            stacked_out.append(np.asarray(losses, dtype=np.float64))
+            return losses
+        return call
+
+    def both(loss_fn, params, stacked):
+        got = grad_check(loss_fn, params, {name: recorded(fn) for name, fn in stacked.items()})
+        assert got.hex() == grad_check(loss_fn, params).hex()
+        loop_out.append(_loop_losses(loss_fn, params))
+        return got
+
+    with mock.patch.object(checks, "grad_check", both):
+        run()
+    return np.concatenate(stacked_out), np.concatenate(loop_out)
+
+
+@pytest.mark.parametrize("module", STACKED_MODULES)
+def test_every_stacked_loss_is_the_loops_to_the_bit(module):
+    # fbp's odd seeds run with a frozen dropout mask, its even seeds without
+    for seed in range(90000, 90200):
+        stacked, loop = _stacked_and_loop_losses(partial(checks._CHECKERS[module], seed))
+        assert stacked.tobytes() == loop.tobytes(), f"{module} instance {seed}"
+
+
+def _fbp_instance(k, o, scale):
+    rng = Rng(7)
+    fp = FBPParams.init(3, 4, k, o, 0.3, rng)
+    return fp, scale * rng.normal_vec(3), scale * rng.normal_vec(4), rng.normal_vec(o)
+
+
+@pytest.mark.parametrize("k, o, zeroed, scale, path", [
+    (3, 2, slice(0, 3), 1.0, "ordinary"),     # the first of two windows zeroed
+    (2, 1, slice(0, 2), 1.0, "zero"),         # the only window zeroed: a zero row
+    (2, 3, slice(0, 0), 1e-78, "tiny"),       # |z|^2 underflows on a nonzero row
+])
+def test_guarded_fbp_blocks_take_the_stacked_path_with_the_loops_bytes(k, o, zeroed, scale, path):
+    fp, a, v, upstream = _fbp_instance(k, o, scale)
+    mask_scale = np.full((1, k * o), 1.0 / 0.7)
+    mask_scale[0, zeroed] = 0.0
+    _, cache = fp.fuse(a[None], v[None], mask_scale)
+    assert path == ("tiny" if cache.tiny is not None else
+                    "zero" if not cache.z.any() else "ordinary")
+    stacked, loop = _stacked_and_loop_losses(
+        partial(checks.fbp_check, fp, a, v, upstream, mask_scale))
+    assert stacked.tobytes() == loop.tobytes()
+    assert np.isfinite(loop).all()
+
+
+@pytest.mark.parametrize("module", STACKED_MODULES)
+def test_the_stacked_path_never_writes_the_parameter_arrays(module):
+    def read_only(loss_fn, params, stacked):
+        before = {name: theta.copy() for name, theta in params.items()}
+        for theta in params.values():
+            theta.flags.writeable = False  # a write raises ValueError
+        try:
+            return grad_check(loss_fn, params, stacked)
+        finally:
+            for name, theta in params.items():
+                theta.flags.writeable = True
+                assert theta.tobytes() == before[name].tobytes()
+
+    with mock.patch.object(checks, "grad_check", read_only):
+        assert checks.run_module_checks(module, 4)[module] < checks.GRAD_TOL
+
+
+@pytest.mark.parametrize("module", checks.MODULES)
+def test_the_fbp_classifier_and_patch_checks_stack_every_tensor(module):
+    calls = []
+    with mock.patch.object(checks, "grad_check", lambda loss, params, stacked=None:
+                           calls.append((list(params), list(stacked or ()))) or 0.0):
+        checks.run_module_checks(module, 1)
+    [(params, stacked)] = calls
+    assert stacked == (params if module in STACKED_MODULES else [])
+
+
+def _weighted(params):
+    theta = params["theta"]
+    weights = np.arange(1.0, theta.size + 1.0).reshape(theta.shape)
+    return float(np.sum(weights * theta ** 2)), lambda: {"theta": 2.0 * weights * theta}
+
+
+@pytest.mark.parametrize("theta", [np.linspace(-3.0, 2.0, 100),  # two row blocks of entries
+                                   np.array([[1.0, -2.0, 0.5], [4.0, 3.0, -1.0]]).T])
+def test_the_stacked_copies_are_the_loops_perturbations(theta):
+    calls = []
+
+    def stacked(copies):
+        calls.append(copies.copy())
+        return [_weighted({"theta": copy})[0] for copy in copies]
+
+    got = grad_check(_weighted, {"theta": theta}, {"theta": stacked})
+    assert got.hex() == grad_check(_weighted, {"theta": theta}).hex()
+    assert [len(c) for c in calls] == [2 * (b.stop - b.start)
+                                       for b in row_blocks(0, theta.size, 2 * theta.size)]
+    flat, entries = theta.reshape(-1), np.arange(theta.size)
+    want = np.tile(flat, (2 * theta.size, 1))
+    want[2 * entries, entries] = flat + EPSILON
+    want[2 * entries + 1, entries] = flat - EPSILON
+    assert np.concatenate(calls).reshape(want.shape).tobytes() == want.tobytes()
+
+
+def test_a_tensor_without_a_stacked_loss_keeps_the_loop():
+    params = {"a": np.array([[1.0, -2.0], [0.5, 4.0]]), "b": np.array([2.0, -1.0])}
+    evals = []
+
+    def loss(ps):
+        evals.append(1)
+        return (float(np.sum(ps["a"] ** 2) + 3.0 * np.sum(ps["b"])),
+                lambda: {"a": 2.0 * ps["a"], "b": 3.0 * np.ones_like(ps["b"])})
+
+    stacked = {"a": lambda copies: [float(np.sum(c ** 2) + 3.0 * np.sum(params["b"]))
+                                    for c in copies]}
+    assert grad_check(loss, params, stacked).hex() == grad_check(loss, params).hex()
+    assert len(evals) == (2 + 2 * params["b"].size) + (2 + 2 * 6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [1, slice(None)], ids=["one-side", "every-copy"])
+def test_a_non_finite_stacked_loss_fails(bad, where):
+    # as on the loop: one bad side, or bad on both sides (inf - inf is NaN, not 0)
+    def stacked(copies):
+        losses = np.array([quadratic({"theta": copy})[0] for copy in copies])
+        losses[where] = bad
+        return losses
+
+    assert grad_check(quadratic, {"theta": np.array([1.0, 2.0, 3.0])},
+                      {"theta": stacked}) == np.inf
+
+
 # --- mutation: every checker fails on a wrong gradient ----------------------
 
 def _cases():
@@ -142,17 +301,19 @@ def _cases():
 def _tensor_names(run) -> list:
     """The names of the tensors that ``run``'s check perturbs, without checking."""
     names = []
-    with mock.patch.object(checks, "grad_check", lambda loss, params: names.extend(params) or 0.0):
+    with mock.patch.object(checks, "grad_check",
+                           lambda loss, params, stacked=None: names.extend(params) or 0.0):
         run()
     return names
 
 
-def _mutated_check(tensor, factor, loss_fn, params):
+def _mutated_check(tensor, factor, loss_fn, params, stacked=None):
     """``grad_check`` with the analytic gradient of ``tensor`` times ``factor``
     in the call that checks ``tensor``; a call that does not check it (a
-    pipeline check's other tensor group) runs unchanged."""
+    pipeline check's other tensor group) runs unchanged.  The checker's
+    stacked losses go through as given."""
     if tensor not in params:
-        return grad_check(loss_fn, params)
+        return grad_check(loss_fn, params, stacked)
 
     def mutated(ps):
         loss, backward = loss_fn(ps)
@@ -163,7 +324,7 @@ def _mutated_check(tensor, factor, loss_fn, params):
 
         return loss, wrong
 
-    return grad_check(mutated, params)
+    return grad_check(mutated, params, stacked)
 
 
 # At init the transformer's u is all zeros, so the analytic and numeric

@@ -143,7 +143,8 @@ def _boundaries(lane, bulk_min):
 BULK_COUNTS = sorted({1} | _boundaries(_LANE, _BULK_MIN) | _boundaries(64, 512))
 
 
-@pytest.mark.parametrize("count", [0] + BULK_COUNTS)
+# 6 outputs: the size of a typical gradient-check instance's tensor draw
+@pytest.mark.parametrize("count", [0, 6] + BULK_COUNTS)
 def test_u64_block_is_the_scalar_stream(count):
     bulk, scalar = Rng(31), Rng(31)
     block = bulk.u64_block(count)
